@@ -77,16 +77,19 @@ tsan_stage() {
 }
 
 asan_stage() {
-  echo "=== [3/11] AddressSanitizer build + UDF cache tests ==="
+  echo "=== [3/11] AddressSanitizer build + UDF cache and planner tests ==="
   cmake -B build-ci-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DMONSOON_SANITIZE=address
   cmake --build build-ci-asan -j "${JOBS}" \
-    --target udf_cache_test exec_test exec_batch_test fault_test
+    --target udf_cache_test exec_test exec_batch_test fault_test \
+    mdp_test mcts_test determinism_test
   # The cache-on/off/serial/parallel equivalence suite plus the executor,
   # batch-execution, and fault suites: every cached column read (join
   # build/probe, residual filters, Σ passes), every selection-vector and
   # Bloom-probe path, every LRU eviction, and every injected-fault error
-  # path runs under ASan.
+  # path runs under ASan. The planner suites cover the in-place MDP
+  # transition: MCTS steps one scratch state, reuses its action buffer and
+  # holds a pointer into it across the step.
   ctest --test-dir build-ci-asan --output-on-failure -L asan
   # Vectorized-execution smoke: the batch/row sweep must keep rows and
   # accounting bit-identical and hold its speed gates (>= 2x on filtered

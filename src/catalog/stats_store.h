@@ -32,7 +32,9 @@ namespace monsoon {
 ///   4. a wildcard-partner entry over a sub-expression.
 /// Callers clamp the result by c(expr).
 ///
-/// Value-semantic (copied freely by MDP states during tree search).
+/// Value-semantic. An MDP state owns one; MCTS copies it only with a
+/// state it keeps (a tree node, or the scratch state a rollout steps in
+/// place), so copies are per node, not per simulated step.
 class StatsStore {
  public:
   StatsStore() = default;

@@ -22,7 +22,7 @@ namespace monsoon {
 struct UdfFunction {
   std::string name;
   /// Output type of the function (needed to type intermediate results).
-  ValueType result_type;
+  ValueType result_type = ValueType::kInt64;
   std::function<Value(const RowRef& row, const std::vector<size_t>& arg_cols)> fn;
 };
 

@@ -6,6 +6,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/check.h"
 #include "fault/injector.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -69,29 +70,30 @@ int RolloutWeight(const MdpAction& action) {
 }  // namespace
 
 StatusOr<double> MctsSearch::Rollout(const MdpState& from) {
-  MdpState state = from;
+  // One copy per rollout; every step then mutates the scratch state.
+  MdpState& state = scratch_;
+  state = from;
   double cost = 0;
   for (int depth = 0; depth < options_.max_rollout_depth; ++depth) {
     if (mdp_->IsTerminal(state)) return cost;
-    std::vector<MdpAction> actions = mdp_->LegalActions(state);
-    if (actions.empty()) {
+    mdp_->LegalActions(state, &actions_);
+    if (actions_.empty()) {
       return Status::Internal("rollout reached a dead-end non-terminal state");
     }
     int total_weight = 0;
-    for (const auto& action : actions) total_weight += RolloutWeight(action);
+    for (const auto& action : actions_) total_weight += RolloutWeight(action);
     int pick = static_cast<int>(rng_.NextBounded(static_cast<uint32_t>(total_weight)));
-    const MdpAction* chosen = &actions.back();
-    for (const auto& action : actions) {
+    const MdpAction* chosen = &actions_.back();
+    for (const auto& action : actions_) {
       pick -= RolloutWeight(action);
       if (pick < 0) {
         chosen = &action;
         break;
       }
     }
-    MONSOON_ASSIGN_OR_RETURN(QueryMdp::TransitionResult step,
-                             mdp_->Step(state, *chosen, rng_));
-    cost += step.cost;
-    state = std::move(step.state);
+    double step_cost = 0;
+    MONSOON_RETURN_IF_ERROR(mdp_->Apply(&state, *chosen, rng_, &step_cost));
+    cost += step_cost;
   }
   // Depth exhausted: score as the worst return observed so far (a strong
   // discouragement without poisoning the normalization bounds).
@@ -143,9 +145,19 @@ size_t MctsSearch::SelectEdge(const Node& node) {
   return best;
 }
 
+MctsSearch::Node* MctsSearch::AddChild(Edge* edge, uint64_t key, MdpState state) {
+  auto child = std::make_unique<Node>();
+  child->state = std::move(state);
+  child->terminal = mdp_->IsTerminal(child->state);
+  if (!child->terminal) mdp_->LegalActions(child->state, &child->untried);
+  Node* child_ptr = child.get();
+  edge->children.emplace(key, std::move(child));
+  return child_ptr;
+}
+
 Status MctsSearch::RunIteration(Node* root) {
   // Path of (node, edge index) pairs traversed this iteration.
-  std::vector<std::pair<Node*, size_t>> path;
+  path_.clear();
   Node* node = root;
   double path_cost = 0;
   double rollout_cost = 0;
@@ -155,6 +167,19 @@ Status MctsSearch::RunIteration(Node* root) {
   // never draws from rng_ and cannot perturb the search.
   obs::TraceSpan select_span("mcts", "select");
   int depth = 0;
+
+  // Closes the expansion span, then rolls out from the new leaf `child`.
+  auto roll_out_new_leaf = [&](Node* child, obs::TraceSpan* expand_span) -> Status {
+    expand_span->End();
+    if (!child->terminal) {
+      obs::TraceSpan rollout_span("mcts", "rollout");
+      MONSOON_ASSIGN_OR_RETURN(rollout_cost, Rollout(child->state));
+      rollout_span.Arg("cost", rollout_cost);
+    }
+    // Count the visit on the new leaf as well.
+    child->visits += 1;
+    return Status::OK();
+  };
 
   for (;;) {
     if (node->terminal) break;
@@ -168,30 +193,18 @@ Status MctsSearch::RunIteration(Node* root) {
       size_t pick = rng_.NextBounded(static_cast<uint32_t>(node->untried.size()));
       MdpAction action = node->untried[pick];
       node->untried.erase(node->untried.begin() + pick);
+
+      MdpState next = node->state;
+      double step_cost = 0;
+      MONSOON_RETURN_IF_ERROR(mdp_->Apply(&next, action, rng_, &step_cost));
+      path_cost += step_cost;
+      uint64_t key = action.IsExecute() ? next.stats.Fingerprint() : 0;
       node->edges.push_back(Edge{});
       Edge& edge = node->edges.back();
       edge.action = action;
-      path.emplace_back(node, node->edges.size() - 1);
-
-      MONSOON_ASSIGN_OR_RETURN(QueryMdp::TransitionResult step,
-                               mdp_->Step(node->state, action, rng_));
-      path_cost += step.cost;
-      uint64_t key = action.IsExecute() ? step.state.stats.Fingerprint() : 0;
-      auto child = std::make_unique<Node>();
-      child->state = std::move(step.state);
-      child->terminal = mdp_->IsTerminal(child->state);
-      if (!child->terminal) child->untried = mdp_->LegalActions(child->state);
-      Node* child_ptr = child.get();
-      edge.children.emplace(key, std::move(child));
-      expand_span.End();
-
-      if (!child_ptr->terminal) {
-        obs::TraceSpan rollout_span("mcts", "rollout");
-        MONSOON_ASSIGN_OR_RETURN(rollout_cost, Rollout(child_ptr->state));
-        rollout_span.Arg("cost", rollout_cost);
-      }
-      // Count the visit on the new leaf as well.
-      child_ptr->visits += 1;
+      path_.emplace_back(node, node->edges.size() - 1);
+      MONSOON_RETURN_IF_ERROR(
+          roll_out_new_leaf(AddChild(&edge, key, std::move(next)), &expand_span));
       break;
     }
 
@@ -205,12 +218,24 @@ Status MctsSearch::RunIteration(Node* root) {
     ++depth;
     size_t edge_idx = SelectEdge(*node);
     Edge& edge = node->edges[edge_idx];
-    path.emplace_back(node, edge_idx);
+    path_.emplace_back(node, edge_idx);
 
-    MONSOON_ASSIGN_OR_RETURN(QueryMdp::TransitionResult step,
-                             mdp_->Step(node->state, edge.action, rng_));
-    path_cost += step.cost;
-    uint64_t key = edge.action.IsExecute() ? step.state.stats.Fingerprint() : 0;
+    if (!edge.action.IsExecute()) {
+      // A planning action is deterministic, draws nothing and costs 0: its
+      // one child (key 0) was built when the edge was expanded, so the
+      // transition is not run again.
+      MONSOON_DCHECK(edge.children.size() == 1 && edge.children.count(0) == 1);
+      node = edge.children.begin()->second.get();
+      node->visits += 1;
+      continue;
+    }
+
+    // EXECUTE draws from the prior: simulate it to find the chance child.
+    scratch_ = node->state;
+    double step_cost = 0;
+    MONSOON_RETURN_IF_ERROR(mdp_->Apply(&scratch_, edge.action, rng_, &step_cost));
+    path_cost += step_cost;
+    uint64_t key = scratch_.stats.Fingerprint();
     auto it = edge.children.find(key);
     if (it == edge.children.end()) {
       select_span.Arg("depth", depth);
@@ -218,19 +243,8 @@ Status MctsSearch::RunIteration(Node* root) {
       // A chance outcome we have not seen before: expand it here.
       obs::TraceSpan expand_span("mcts", "expand");
       expand_span.Arg("chance", true);
-      auto child = std::make_unique<Node>();
-      child->state = std::move(step.state);
-      child->terminal = mdp_->IsTerminal(child->state);
-      if (!child->terminal) child->untried = mdp_->LegalActions(child->state);
-      Node* child_ptr = child.get();
-      edge.children.emplace(key, std::move(child));
-      expand_span.End();
-      if (!child_ptr->terminal) {
-        obs::TraceSpan rollout_span("mcts", "rollout");
-        MONSOON_ASSIGN_OR_RETURN(rollout_cost, Rollout(child_ptr->state));
-        rollout_span.Arg("cost", rollout_cost);
-      }
-      child_ptr->visits += 1;
+      MONSOON_RETURN_IF_ERROR(roll_out_new_leaf(
+          AddChild(&edge, key, std::move(scratch_)), &expand_span));
       break;
     }
     node = it->second.get();
@@ -251,12 +265,12 @@ Status MctsSearch::RunIteration(Node* root) {
     max_return_ = std::max(max_return_, ret);
   }
   root->visits += 1;
-  for (auto& [pnode, edge_idx] : path) {
+  for (auto& [pnode, edge_idx] : path_) {
     Edge& edge = pnode->edges[edge_idx];
     edge.visits += 1;
     edge.total_return += ret;
   }
-  backprop_span.Arg("return", ret).Arg("path", static_cast<uint64_t>(path.size()));
+  backprop_span.Arg("return", ret).Arg("path", static_cast<uint64_t>(path_.size()));
   return Status::OK();
 }
 
@@ -266,7 +280,7 @@ StatusOr<MdpAction> MctsSearch::SearchBestAction(const MdpState& root_state) {
   }
   root_ = std::make_unique<Node>();
   root_->state = root_state;
-  root_->untried = mdp_->LegalActions(root_state);
+  mdp_->LegalActions(root_state, &root_->untried);
   if (root_->untried.empty()) {
     return Status::Internal("no legal action from the current state");
   }

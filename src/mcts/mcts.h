@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -86,6 +87,8 @@ class MctsSearch {
   struct Edge;
 
   Status RunIteration(Node* root);
+  /// Makes a tree node for `state` under `edge` at chance key `key`.
+  Node* AddChild(Edge* edge, uint64_t key, MdpState state);
   /// Plays random-but-biased actions to a terminal state; returns the
   /// total cost accumulated.
   StatusOr<double> Rollout(const MdpState& from);
@@ -102,6 +105,12 @@ class MctsSearch {
   bool bounds_init_ = false;
   int iteration_ = 0;
   std::unique_ptr<Node> root_;
+  // Buffers reused across iterations, so stepping the MDP allocates only
+  // for states the tree keeps. Each root-parallel worker owns its own
+  // MctsSearch, so these are never shared between threads.
+  MdpState scratch_;                           // rollouts, EXECUTE outcomes
+  std::vector<MdpAction> actions_;             // rollout legal actions
+  std::vector<std::pair<Node*, size_t>> path_;  // (node, edge) this iteration
 };
 
 }  // namespace monsoon

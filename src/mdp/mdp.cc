@@ -53,7 +53,15 @@ std::string MdpState::ToString(const QuerySpec& query) const {
 }
 
 QueryMdp::QueryMdp(const QuerySpec& query, const Prior* prior, Options options)
-    : query_(query), prior_(prior), options_(options) {
+    : query_(query),
+      prior_(prior),
+      options_(options),
+      goal_(ExprSig::Of(query.AllRelations(), query.AllPredicatesMask())),
+      pred_rels_(PredicateRelMasks(query)),
+      components_(ComponentMasks(query)) {
+  for (const UdfTerm* term : query.AllTerms()) {
+    terms_.push_back(TermRels{term->term_id, term->rels.mask()});
+  }
   selection_masks_.resize(query.num_relations(), 0);
   for (int rel = 0; rel < query.num_relations(); ++rel) {
     for (int pred_id : query.SelectionPredicatesOn(rel)) {
@@ -73,19 +81,18 @@ MdpState QueryMdp::InitialState(const StatsStore& initial_stats,
   return state;
 }
 
-ExprSig QueryMdp::GoalSig() const {
-  return ExprSig::Of(query_.AllRelations(), query_.AllPredicatesMask());
-}
-
 bool QueryMdp::IsTerminal(const MdpState& state) const {
-  return state.executed.count(GoalSig()) > 0;
+  return state.executed.count(goal_) > 0;
 }
 
 PlanNode::Ptr QueryMdp::LeafFor(const ExprSig& sig) const {
+  // Relations ascending, then predicate ids ascending within a relation:
+  // the order the cardinality model resolves (and samples) selections in.
   std::vector<int> unapplied;
-  for (int rel : RelSet(sig.rels).Indices()) {
-    for (int pred_id : query_.SelectionPredicatesOn(rel)) {
-      if (((sig.preds >> pred_id) & 1) == 0) unapplied.push_back(pred_id);
+  for (uint64_t rels = sig.rels; rels != 0; rels &= rels - 1) {
+    for (uint64_t m = selection_masks_[__builtin_ctzll(rels)] & ~sig.preds; m != 0;
+         m &= m - 1) {
+      unapplied.push_back(__builtin_ctzll(m));
     }
   }
   return PlanNode::Leaf(sig, std::move(unapplied));
@@ -105,25 +112,38 @@ ExprSig QueryMdp::LeafSigFor(const ExprSig& sig) const {
 ExprSig QueryMdp::JoinSigFor(const ExprSig& a, const ExprSig& b) const {
   ExprSig la = LeafSigFor(a);
   ExprSig lb = LeafSigFor(b);
-  uint64_t preds = la.preds | lb.preds;
-  preds |= PredMask(ApplicableJoinPreds(query_, la, lb));
-  return ExprSig{la.rels | lb.rels, preds};
+  return ExprSig{la.rels | lb.rels,
+                 la.preds | lb.preds | ApplicableJoinPredMask(pred_rels_, la, lb)};
 }
 
-bool QueryMdp::JoinProposalOk(const MdpState& state, const ExprSig& a,
-                              const ExprSig& b) const {
-  (void)state;
-  if (RelSet(a.rels).Intersects(RelSet(b.rels))) return false;
-  if (AreConnected(query_, a, b)) return true;
+PlanNode::Ptr QueryMdp::JoinOf(PlanNode::Ptr a, PlanNode::Ptr b) const {
+  std::vector<int> preds;
+  for (uint64_t m = ApplicableJoinPredMask(pred_rels_, a->output_sig(), b->output_sig());
+       m != 0; m &= m - 1) {
+    preds.push_back(__builtin_ctzll(m));
+  }
+  return PlanNode::Join(std::move(a), std::move(b), std::move(preds));
+}
+
+bool QueryMdp::JoinProposalOk(const ExprSig& a, const ExprSig& b) const {
+  if ((a.rels & b.rels) != 0) return false;
+  if (ApplicableJoinPredMask(pred_rels_, a, b) != 0) return true;
   if (options_.allow_unconstrained_cross_products) return true;
   // A cross product is still proposed when the query graph itself leaves
   // the two sides disconnected (it has to happen eventually).
-  return CrossProductUnavoidable(query_, RelSet(a.rels), RelSet(b.rels));
+  return (ComponentOf(components_, RelSet(a.rels)) & b.rels) == 0;
 }
 
 std::vector<MdpAction> QueryMdp::LegalActions(const MdpState& state) const {
   std::vector<MdpAction> actions;
-  if (IsTerminal(state)) return actions;
+  LegalActions(state, &actions);
+  return actions;
+}
+
+void QueryMdp::LegalActions(const MdpState& state,
+                            std::vector<MdpAction>* actions) const {
+  actions->clear();
+  if (IsTerminal(state)) return;
 
   int max_planned = options_.max_planned;
   bool planned_full = static_cast<int>(state.planned.size()) >= max_planned;
@@ -136,12 +156,12 @@ std::vector<MdpAction> QueryMdp::LegalActions(const MdpState& state) const {
     return state.executed.count(out_sig) > 0;
   };
 
-  // Terms grouped once: does expression `rels` have an evaluable term with
-  // unknown statistics? (Σ pruning.)
-  auto stats_unknown_for = [&](RelSet rels) {
-    for (const UdfTerm* term : query_.AllTerms()) {
-      if (!rels.ContainsAll(term->rels)) continue;
-      if (!state.stats.HasDistinctInfo(term->term_id, rels)) return true;
+  // Does expression `rels` have an evaluable term with unknown statistics?
+  // (Σ pruning.)
+  auto stats_unknown_for = [&](uint64_t rels) {
+    for (const TermRels& term : terms_) {
+      if ((term.rels & ~rels) != 0) continue;
+      if (!state.stats.HasDistinctInfo(term.term_id, RelSet(rels))) return true;
     }
     return false;
   };
@@ -151,11 +171,11 @@ std::vector<MdpAction> QueryMdp::LegalActions(const MdpState& state) const {
   // one of them would be wasted work. Join proposals whose result would
   // overlap another Σ-less planned tree are dominated and pruned.
   // Σ-topped trees are exempt: they exist to gather statistics.
-  auto overlaps_planned = [&](RelSet rels, int exclude_idx) {
+  auto overlaps_planned = [&](uint64_t rels, int exclude_idx) {
     for (size_t i = 0; i < state.planned.size(); ++i) {
       if (static_cast<int>(i) == exclude_idx) continue;
       if (state.planned[i]->HasStatsCollect()) continue;
-      if (RelSet(state.planned[i]->output_sig().rels).Intersects(rels)) return true;
+      if ((state.planned[i]->output_sig().rels & rels) != 0) return true;
     }
     return false;
   };
@@ -176,12 +196,12 @@ std::vector<MdpAction> QueryMdp::LegalActions(const MdpState& state) const {
   // (1) Copy r ∈ R_e topped with Σ.
   if (!planned_full && options_.enable_stats_actions) {
     for (const auto& [sig, count] : state.executed) {
-      if (!stats_unknown_for(RelSet(sig.rels))) continue;
+      if (!stats_unknown_for(sig.rels)) continue;
       if (sigma_dup(LeafSigFor(sig))) continue;
       MdpAction action;
       action.type = MdpAction::Type::kAddStatsPlan;
       action.exec_a = sig;
-      actions.push_back(action);
+      actions->push_back(action);
     }
   }
 
@@ -190,11 +210,11 @@ std::vector<MdpAction> QueryMdp::LegalActions(const MdpState& state) const {
        ++i) {
     const PlanNode::Ptr& tree = state.planned[i];
     if (tree->HasStatsCollect()) continue;
-    if (!stats_unknown_for(RelSet(tree->output_sig().rels))) continue;
+    if (!stats_unknown_for(tree->output_sig().rels)) continue;
     MdpAction action;
     action.type = MdpAction::Type::kTopWithStats;
     action.plan_a = static_cast<int>(i);
-    actions.push_back(action);
+    actions->push_back(action);
   }
 
   // (3) Join two materialized expressions.
@@ -203,14 +223,14 @@ std::vector<MdpAction> QueryMdp::LegalActions(const MdpState& state) const {
       for (auto it_b = std::next(it_a); it_b != state.executed.end(); ++it_b) {
         const ExprSig& a = it_a->first;
         const ExprSig& b = it_b->first;
-        if (!JoinProposalOk(state, a, b)) continue;
-        if (overlaps_planned(RelSet(a.rels).Union(RelSet(b.rels)), -1)) continue;
+        if (!JoinProposalOk(a, b)) continue;
+        if (overlaps_planned(a.rels | b.rels, -1)) continue;
         if (planned_dup(JoinSigFor(a, b))) continue;
         MdpAction action;
         action.type = MdpAction::Type::kJoinExecExec;
         action.exec_a = a;
         action.exec_b = b;
-        actions.push_back(action);
+        actions->push_back(action);
       }
     }
   }
@@ -220,31 +240,29 @@ std::vector<MdpAction> QueryMdp::LegalActions(const MdpState& state) const {
     if (state.planned[i]->HasStatsCollect()) continue;
     for (size_t j = i + 1; j < state.planned.size(); ++j) {
       if (state.planned[j]->HasStatsCollect()) continue;
-      const ExprSig& a = state.planned[i]->output_sig();
-      const ExprSig& b = state.planned[j]->output_sig();
-      if (!JoinProposalOk(state, a, b)) continue;
+      if (!JoinProposalOk(state.planned[i]->output_sig(),
+                          state.planned[j]->output_sig())) {
+        continue;
+      }
       MdpAction action;
       action.type = MdpAction::Type::kJoinPlanPlan;
       action.plan_a = static_cast<int>(i);
       action.plan_b = static_cast<int>(j);
-      actions.push_back(action);
+      actions->push_back(action);
     }
   }
 
   // (5) Join a materialized expression into a planned one.
   for (size_t j = 0; j < state.planned.size(); ++j) {
     if (state.planned[j]->HasStatsCollect()) continue;
+    const ExprSig& b = state.planned[j]->output_sig();
     for (const auto& [sig, count] : state.executed) {
       ExprSig leaf_sig = LeafSigFor(sig);
-      const ExprSig& b = state.planned[j]->output_sig();
-      if (!JoinProposalOk(state, leaf_sig, b)) continue;
-      if (overlaps_planned(RelSet(sig.rels).Union(RelSet(b.rels)),
-                           static_cast<int>(j))) {
-        continue;
-      }
+      if (!JoinProposalOk(leaf_sig, b)) continue;
+      if (overlaps_planned(sig.rels | b.rels, static_cast<int>(j))) continue;
       ExprSig join_sig{leaf_sig.rels | b.rels,
                        leaf_sig.preds | b.preds |
-                           PredMask(ApplicableJoinPreds(query_, leaf_sig, b))};
+                           ApplicableJoinPredMask(pred_rels_, leaf_sig, b)};
       if (state.executed.count(join_sig) > 0) continue;
       bool dup = false;
       for (size_t k = 0; k < state.planned.size(); ++k) {
@@ -255,7 +273,7 @@ std::vector<MdpAction> QueryMdp::LegalActions(const MdpState& state) const {
       action.type = MdpAction::Type::kJoinExecPlan;
       action.exec_a = sig;
       action.plan_a = static_cast<int>(j);
-      actions.push_back(action);
+      actions->push_back(action);
     }
   }
 
@@ -263,67 +281,8 @@ std::vector<MdpAction> QueryMdp::LegalActions(const MdpState& state) const {
   if (!state.planned.empty()) {
     MdpAction action;
     action.type = MdpAction::Type::kExecute;
-    actions.push_back(action);
+    actions->push_back(action);
   }
-
-  return actions;
-}
-
-StatusOr<MdpState> QueryMdp::ApplyPlanAction(const MdpState& state,
-                                             const MdpAction& action) const {
-  MdpState next = state;
-  switch (action.type) {
-    case MdpAction::Type::kAddStatsPlan: {
-      next.planned.push_back(PlanNode::StatsCollect(LeafFor(action.exec_a)));
-      return next;
-    }
-    case MdpAction::Type::kTopWithStats: {
-      if (action.plan_a < 0 || action.plan_a >= static_cast<int>(next.planned.size())) {
-        return Status::InvalidArgument("bad plan index in kTopWithStats");
-      }
-      next.planned[action.plan_a] =
-          PlanNode::StatsCollect(next.planned[action.plan_a]);
-      return next;
-    }
-    case MdpAction::Type::kJoinExecExec: {
-      PlanNode::Ptr la = LeafFor(action.exec_a);
-      PlanNode::Ptr lb = LeafFor(action.exec_b);
-      std::vector<int> preds =
-          ApplicableJoinPreds(query_, la->output_sig(), lb->output_sig());
-      next.planned.push_back(PlanNode::Join(la, lb, std::move(preds)));
-      return next;
-    }
-    case MdpAction::Type::kJoinPlanPlan: {
-      int i = action.plan_a;
-      int j = action.plan_b;
-      if (i < 0 || j <= i || j >= static_cast<int>(next.planned.size())) {
-        return Status::InvalidArgument("bad plan indices in kJoinPlanPlan");
-      }
-      PlanNode::Ptr a = next.planned[i];
-      PlanNode::Ptr b = next.planned[j];
-      std::vector<int> preds =
-          ApplicableJoinPreds(query_, a->output_sig(), b->output_sig());
-      next.planned.erase(next.planned.begin() + j);
-      next.planned.erase(next.planned.begin() + i);
-      next.planned.push_back(PlanNode::Join(a, b, std::move(preds)));
-      return next;
-    }
-    case MdpAction::Type::kJoinExecPlan: {
-      int j = action.plan_a;
-      if (j < 0 || j >= static_cast<int>(next.planned.size())) {
-        return Status::InvalidArgument("bad plan index in kJoinExecPlan");
-      }
-      PlanNode::Ptr leaf = LeafFor(action.exec_a);
-      PlanNode::Ptr b = next.planned[j];
-      std::vector<int> preds =
-          ApplicableJoinPreds(query_, leaf->output_sig(), b->output_sig());
-      next.planned[j] = PlanNode::Join(leaf, b, std::move(preds));
-      return next;
-    }
-    case MdpAction::Type::kExecute:
-      return Status::InvalidArgument("kExecute is not a planning action");
-  }
-  return Status::Internal("unknown action type");
 }
 
 namespace {
@@ -383,47 +342,102 @@ void SimulateStatsCollection(const QuerySpec& query, const ExprSig& expr,
 
 }  // namespace
 
-StatusOr<QueryMdp::TransitionResult> QueryMdp::SimulateExecute(const MdpState& state,
-                                                               Pcg32& rng) const {
-  if (state.planned.empty()) {
-    return Status::InvalidArgument("EXECUTE with empty R_p");
-  }
-  TransitionResult result;
-  result.state = state;
+Status QueryMdp::Apply(MdpState* state, const MdpAction& action, Pcg32& rng,
+                       double* cost) const {
+  *cost = 0;
+  std::vector<PlanNode::Ptr>& planned = state->planned;
+  auto plan_index_ok = [&](int i) {
+    return i >= 0 && i < static_cast<int>(planned.size());
+  };
+  switch (action.type) {
+    case MdpAction::Type::kAddStatsPlan:
+      planned.push_back(PlanNode::StatsCollect(LeafFor(action.exec_a)));
+      return Status::OK();
+    case MdpAction::Type::kTopWithStats:
+      if (!plan_index_ok(action.plan_a)) {
+        return Status::InvalidArgument("bad plan index in kTopWithStats");
+      }
+      planned[action.plan_a] = PlanNode::StatsCollect(std::move(planned[action.plan_a]));
+      return Status::OK();
+    case MdpAction::Type::kJoinExecExec:
+      planned.push_back(JoinOf(LeafFor(action.exec_a), LeafFor(action.exec_b)));
+      return Status::OK();
+    case MdpAction::Type::kJoinPlanPlan: {
+      int i = action.plan_a;
+      int j = action.plan_b;
+      if (i < 0 || j <= i || !plan_index_ok(j)) {
+        return Status::InvalidArgument("bad plan indices in kJoinPlanPlan");
+      }
+      PlanNode::Ptr a = std::move(planned[i]);
+      PlanNode::Ptr b = std::move(planned[j]);
+      planned.erase(planned.begin() + j);
+      planned.erase(planned.begin() + i);
+      planned.push_back(JoinOf(std::move(a), std::move(b)));
+      return Status::OK();
+    }
+    case MdpAction::Type::kJoinExecPlan: {
+      int j = action.plan_a;
+      if (!plan_index_ok(j)) {
+        return Status::InvalidArgument("bad plan index in kJoinExecPlan");
+      }
+      planned[j] = JoinOf(LeafFor(action.exec_a), std::move(planned[j]));
+      return Status::OK();
+    }
+    case MdpAction::Type::kExecute: {
+      if (planned.empty()) return Status::InvalidArgument("EXECUTE with empty R_p");
 
-  CardinalityModel::Options model_options;
-  model_options.missing_policy = MissingStatPolicy::kSampleFromPrior;
-  model_options.prior = prior_;
-  model_options.rng = &rng;
-  model_options.record_counts = true;
-  CardinalityModel model(query_, &result.state.stats, model_options);
+      CardinalityModel::Options model_options;
+      model_options.missing_policy = MissingStatPolicy::kSampleFromPrior;
+      model_options.prior = prior_;
+      model_options.rng = &rng;
+      model_options.record_counts = true;
+      CardinalityModel model(query_, &state->stats, model_options);
 
-  double total_cost = 0;
-  for (const PlanNode::Ptr& tree : state.planned) {
-    MONSOON_ASSIGN_OR_RETURN(CardinalityModel::PlanEstimate est,
-                             model.EstimatePlan(tree));
-    total_cost += est.cost;
-    ExprSig sig = tree->output_sig();
-    result.state.executed[sig] = est.cardinality;
-    result.state.stats.SetCount(sig, est.cardinality);
-    if (tree->kind() == PlanNode::Kind::kStatsCollect) {
-      SimulateStatsCollection(query_, sig, est.cardinality, *prior_, rng,
-                              &result.state.stats);
+      double total_cost = 0;
+      for (const PlanNode::Ptr& tree : planned) {
+        MONSOON_ASSIGN_OR_RETURN(CardinalityModel::PlanEstimate est,
+                                 model.EstimatePlan(tree));
+        total_cost += est.cost;
+        ExprSig sig = tree->output_sig();
+        state->executed[sig] = est.cardinality;
+        state->stats.SetCount(sig, est.cardinality);
+        if (tree->kind() == PlanNode::Kind::kStatsCollect) {
+          SimulateStatsCollection(query_, sig, est.cardinality, *prior_, rng,
+                                  &state->stats);
+        }
+      }
+      planned.clear();
+      *cost = total_cost;
+      return Status::OK();
     }
   }
-  result.state.planned.clear();
-  result.cost = total_cost;
-  return result;
+  return Status::Internal("unknown action type");
 }
 
 StatusOr<QueryMdp::TransitionResult> QueryMdp::Step(const MdpState& state,
                                                     const MdpAction& action,
                                                     Pcg32& rng) const {
-  if (action.IsExecute()) return SimulateExecute(state, rng);
   TransitionResult result;
-  MONSOON_ASSIGN_OR_RETURN(result.state, ApplyPlanAction(state, action));
-  result.cost = 0;
+  result.state = state;
+  MONSOON_RETURN_IF_ERROR(Apply(&result.state, action, rng, &result.cost));
   return result;
+}
+
+StatusOr<QueryMdp::TransitionResult> QueryMdp::SimulateExecute(const MdpState& state,
+                                                               Pcg32& rng) const {
+  MdpAction execute;
+  execute.type = MdpAction::Type::kExecute;
+  return Step(state, execute, rng);
+}
+
+StatusOr<MdpState> QueryMdp::ApplyPlanAction(const MdpState& state,
+                                             const MdpAction& action) const {
+  if (action.IsExecute()) {
+    return Status::InvalidArgument("kExecute is not a planning action");
+  }
+  Pcg32 no_draws;  // planning actions draw nothing
+  MONSOON_ASSIGN_OR_RETURN(TransitionResult result, Step(state, action, no_draws));
+  return std::move(result.state);
 }
 
 }  // namespace monsoon

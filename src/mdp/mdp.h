@@ -53,7 +53,9 @@ struct MdpAction {
 
 /// The MDP state (Sec. 4.1): planned expressions R_p, executed and
 /// materialized expressions R_e (signature → known cardinality), and the
-/// statistics S. Value-semantic; plan trees are shared immutably.
+/// statistics S. QueryMdp::Apply mutates a state in place; MCTS copies a
+/// state only where it keeps one (a tree node, or the one scratch state a
+/// rollout steps). Plan trees are immutable and shared between copies.
 struct MdpState {
   std::vector<PlanNode::Ptr> planned;   // R_p
   std::map<ExprSig, double> executed;   // R_e with c(r)
@@ -95,12 +97,20 @@ class QueryMdp {
 
   /// Legal actions with the pruning described in DESIGN.md (Σ only where
   /// statistics are still unknown, joins only between connected,
-  /// non-overlapping expressions, no duplicate expressions).
+  /// non-overlapping expressions, no duplicate expressions), written into
+  /// `*actions` (cleared first, so a caller can reuse one buffer).
+  void LegalActions(const MdpState& state, std::vector<MdpAction>* actions) const;
   std::vector<MdpAction> LegalActions(const MdpState& state) const;
 
-  /// Applies a deterministic planning action. Fails on kExecute.
-  StatusOr<MdpState> ApplyPlanAction(const MdpState& state,
-                                     const MdpAction& action) const;
+  /// The transition: applies `action` to `*state` in place and sets
+  /// `*cost` to the objects it processes (Sec. 4.4; reward = -cost).
+  /// Planning actions are deterministic, cost 0 and draw nothing from
+  /// `rng`; EXECUTE hardens statistics by sampling the prior, costs the
+  /// planned trees, and moves R_p into R_e. A bad plan index or an EXECUTE
+  /// with empty R_p fails with InvalidArgument and leaves the state as it
+  /// was; any other failure leaves it unspecified.
+  Status Apply(MdpState* state, const MdpAction& action, Pcg32& rng,
+               double* cost) const;
 
   struct TransitionResult {
     MdpState state;
@@ -108,11 +118,12 @@ class QueryMdp {
     double cost = 0;
   };
 
-  /// Simulates EXECUTE: hardens statistics by sampling the prior,
-  /// computes the transition cost, and moves R_p into R_e.
+  /// Value-returning forms of Apply: each copies `state` and applies one
+  /// action to the copy. ApplyPlanAction fails on kExecute;
+  /// SimulateExecute applies kExecute.
+  StatusOr<MdpState> ApplyPlanAction(const MdpState& state,
+                                     const MdpAction& action) const;
   StatusOr<TransitionResult> SimulateExecute(const MdpState& state, Pcg32& rng) const;
-
-  /// Applies any action: planning actions have cost 0; EXECUTE samples.
   StatusOr<TransitionResult> Step(const MdpState& state, const MdpAction& action,
                                   Pcg32& rng) const;
 
@@ -121,7 +132,7 @@ class QueryMdp {
   const Options& options() const { return options_; }
 
   /// The signature of the completed query.
-  ExprSig GoalSig() const;
+  const ExprSig& GoalSig() const { return goal_; }
 
   /// Builds the leaf plan for joining `sig` (a member of R_e), applying
   /// any still-unapplied selection predicates over its relations.
@@ -133,12 +144,28 @@ class QueryMdp {
   ExprSig JoinSigFor(const ExprSig& a, const ExprSig& b) const;
 
  private:
-  bool JoinProposalOk(const MdpState& state, const ExprSig& a, const ExprSig& b) const;
+  bool JoinProposalOk(const ExprSig& a, const ExprSig& b) const;
+  /// Join of two plans applying every predicate that becomes applicable.
+  PlanNode::Ptr JoinOf(PlanNode::Ptr a, PlanNode::Ptr b) const;
+
+  struct TermRels {
+    int term_id;
+    uint64_t rels;
+  };
 
   const QuerySpec& query_;
   const Prior* prior_;
   Options options_;
-  /// Per-relation mask of selection predicate ids (hot-path cache).
+  // Query-invariant tables built once by the constructor, so action
+  // enumeration allocates nothing.
+  ExprSig goal_;
+  /// Every UDF term, in QuerySpec::AllTerms() order.
+  std::vector<TermRels> terms_;
+  /// PredicateRelMasks(query).
+  std::vector<uint64_t> pred_rels_;
+  /// ComponentMasks(query).
+  std::vector<uint64_t> components_;
+  /// Per-relation mask of selection predicate ids.
   std::vector<uint64_t> selection_masks_;
 };
 

@@ -134,6 +134,7 @@ Status MonsoonOptimizer::RunImpl(const QuerySpec& query, RunResult* result) cons
   static obs::Counter* const decisions_metric =
       obs::Registry::Global().GetCounter("mdp.decisions");
 
+  Pcg32 no_draws;
   int decision = 0;
   while (!mdp.IsTerminal(state)) {
     MONSOON_RETURN_IF_ERROR(cancel_token->Check());
@@ -200,7 +201,10 @@ Status MonsoonOptimizer::RunImpl(const QuerySpec& query, RunResult* result) cons
       MONSOON_RETURN_IF_ERROR(run_execute(state.planned));
       state.planned.clear();
     } else {
-      MONSOON_ASSIGN_OR_RETURN(state, mdp.ApplyPlanAction(state, action));
+      // Planning actions draw nothing and cost 0, so they step the real
+      // state in place.
+      double no_cost = 0;
+      MONSOON_RETURN_IF_ERROR(mdp.Apply(&state, action, no_draws, &no_cost));
     }
   }
 

@@ -7,55 +7,59 @@ PlanNode::Ptr MakeLeaf(const QuerySpec& query, int rel) {
                         query.SelectionPredicatesOn(rel));
 }
 
+std::vector<uint64_t> PredicateRelMasks(const QuerySpec& query) {
+  std::vector<uint64_t> out;
+  out.reserve(query.predicates().size());
+  for (const Predicate& pred : query.predicates()) out.push_back(pred.rels().mask());
+  return out;
+}
+
+uint64_t ApplicableJoinPredMask(const std::vector<uint64_t>& pred_rels,
+                                const ExprSig& left, const ExprSig& right) {
+  uint64_t union_rels = left.rels | right.rels;
+  uint64_t applied = left.preds | right.preds;
+  uint64_t out = 0;
+  for (size_t id = 0; id < pred_rels.size(); ++id) {
+    if ((applied >> id) & 1) continue;
+    uint64_t prels = pred_rels[id];
+    if ((prels & ~union_rels) != 0) continue;
+    if ((prels & ~left.rels) == 0 || (prels & ~right.rels) == 0) continue;
+    out |= uint64_t{1} << id;
+  }
+  return out;
+}
+
 std::vector<int> ApplicableJoinPreds(const QuerySpec& query, const ExprSig& left,
                                      const ExprSig& right) {
   std::vector<int> out;
-  RelSet lrels(left.rels);
-  RelSet rrels(right.rels);
-  RelSet union_rels = lrels.Union(rrels);
-  uint64_t applied = left.preds | right.preds;
-  for (const Predicate& pred : query.predicates()) {
-    if ((applied >> pred.pred_id) & 1) continue;
-    RelSet prels = pred.rels();
-    if (!union_rels.ContainsAll(prels)) continue;
-    if (lrels.ContainsAll(prels) || rrels.ContainsAll(prels)) continue;
-    out.push_back(pred.pred_id);
+  for (uint64_t m = ApplicableJoinPredMask(PredicateRelMasks(query), left, right);
+       m != 0; m &= m - 1) {
+    out.push_back(__builtin_ctzll(m));
   }
   return out;
 }
 
 bool AreConnected(const QuerySpec& query, const ExprSig& left, const ExprSig& right) {
-  return !ApplicableJoinPreds(query, left, right).empty();
+  return ApplicableJoinPredMask(PredicateRelMasks(query), left, right) != 0;
+}
+
+std::vector<uint64_t> ComponentMasks(const QuerySpec& query) {
+  // Each relation starts alone; every predicate merges the components of
+  // the relations it touches, and every member of a merged component
+  // points at the merged mask.
+  std::vector<uint64_t> components(query.num_relations());
+  for (int i = 0; i < query.num_relations(); ++i) components[i] = uint64_t{1} << i;
+  for (const Predicate& pred : query.predicates()) {
+    uint64_t merged = ComponentOf(components, pred.rels());
+    for (uint64_t m = merged; m != 0; m &= m - 1) {
+      components[__builtin_ctzll(m)] = merged;
+    }
+  }
+  return components;
 }
 
 bool CrossProductUnavoidable(const QuerySpec& query, RelSet a, RelSet b) {
-  // Union-find over relations through all predicates.
-  int n = query.num_relations();
-  std::vector<int> parent(n);
-  for (int i = 0; i < n; ++i) parent[i] = i;
-  auto find = [&](int x) {
-    while (parent[x] != x) {
-      parent[x] = parent[parent[x]];
-      x = parent[x];
-    }
-    return x;
-  };
-  for (const Predicate& pred : query.predicates()) {
-    auto indices = pred.rels().Indices();
-    for (size_t i = 1; i < indices.size(); ++i) {
-      int ra = find(indices[0]);
-      int rb = find(indices[i]);
-      if (ra != rb) parent[ra] = rb;
-    }
-  }
-  // If any relation of `a` shares a component with any relation of `b`,
-  // a predicate path exists and the cross product is avoidable.
-  for (int ia : a.Indices()) {
-    for (int ib : b.Indices()) {
-      if (find(ia) == find(ib)) return false;
-    }
-  }
-  return true;
+  return (ComponentOf(ComponentMasks(query), a) & b.mask()) == 0;
 }
 
 }  // namespace monsoon

@@ -1,9 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
+#include <string>
+#include <vector>
 
 #include "cost/cardinality.h"
 #include "mdp/mdp.h"
+#include "plan/logical_ops.h"
+#include "workloads/imdb.h"
+#include "workloads/ott.h"
+#include "workloads/tpch.h"
+#include "workloads/udfbench.h"
 
 namespace monsoon {
 namespace {
@@ -103,8 +111,8 @@ TEST_F(MdpTest, JoinActionAddsPlanAndUnlocksExecute) {
 
 TEST_F(MdpTest, NoDuplicatePlans) {
   MdpState state = Initial();
-  const MdpAction* join =
-      FindType(mdp_->LegalActions(state), MdpAction::Type::kJoinExecExec);
+  std::vector<MdpAction> join_legal = mdp_->LegalActions(state);
+  const MdpAction* join = FindType(join_legal, MdpAction::Type::kJoinExecExec);
   ASSERT_NE(join, nullptr);
   auto next = mdp_->ApplyPlanAction(state, *join);
   ASSERT_TRUE(next.ok());
@@ -119,8 +127,8 @@ TEST_F(MdpTest, NoDuplicatePlans) {
 TEST_F(MdpTest, SimulateExecuteMaterializesAndCosts) {
   Pcg32 rng(31);
   MdpState state = Initial();
-  const MdpAction* join =
-      FindType(mdp_->LegalActions(state), MdpAction::Type::kJoinExecExec);
+  std::vector<MdpAction> join_legal = mdp_->LegalActions(state);
+  const MdpAction* join = FindType(join_legal, MdpAction::Type::kJoinExecExec);
   auto planned = mdp_->ApplyPlanAction(state, *join);
   ASSERT_TRUE(planned.ok());
   PlanNode::Ptr tree = planned->planned[0];
@@ -139,8 +147,8 @@ TEST_F(MdpTest, SimulatedStatisticsStayConsistent) {
   // the sample hardened by the first is reused by the second.
   Pcg32 rng(32);
   MdpState state = Initial();
-  const MdpAction* join =
-      FindType(mdp_->LegalActions(state), MdpAction::Type::kJoinExecExec);
+  std::vector<MdpAction> join_legal = mdp_->LegalActions(state);
+  const MdpAction* join = FindType(join_legal, MdpAction::Type::kJoinExecExec);
   auto planned = mdp_->ApplyPlanAction(state, *join);
   auto exec1 = mdp_->SimulateExecute(*planned, rng);
   ASSERT_TRUE(exec1.ok());
@@ -164,7 +172,8 @@ TEST_F(MdpTest, StatsPlanCollectsPerPartnerSamples) {
   Pcg32 rng(33);
   MdpState state = Initial();
   const MdpAction* sigma_s = nullptr;
-  for (const MdpAction& action : mdp_->LegalActions(state)) {
+  std::vector<MdpAction> legal = mdp_->LegalActions(state);
+  for (const MdpAction& action : legal) {
     if (action.type == MdpAction::Type::kAddStatsPlan &&
         action.exec_a == ExprSig::Of(RelSet::Single(1), 0)) {
       sigma_s = &action;
@@ -208,7 +217,8 @@ TEST_F(MdpTest, FullEpisodeReachesTerminal) {
   MdpState state = Initial();
   // Join R-S, join T into the plan, EXECUTE.
   const MdpAction* join_rs = nullptr;
-  for (const MdpAction& action : mdp_->LegalActions(state)) {
+  std::vector<MdpAction> legal = mdp_->LegalActions(state);
+  for (const MdpAction& action : legal) {
     if (action.type == MdpAction::Type::kJoinExecExec &&
         action.exec_a == ExprSig::Of(RelSet::Single(0), 0) &&
         action.exec_b == ExprSig::Of(RelSet::Single(1), 0)) {
@@ -219,8 +229,8 @@ TEST_F(MdpTest, FullEpisodeReachesTerminal) {
   auto s1 = mdp_->ApplyPlanAction(state, *join_rs);
   ASSERT_TRUE(s1.ok());
 
-  const MdpAction* join_t =
-      FindType(mdp_->LegalActions(*s1), MdpAction::Type::kJoinExecPlan);
+  std::vector<MdpAction> join_t_legal = mdp_->LegalActions(*s1);
+  const MdpAction* join_t = FindType(join_t_legal, MdpAction::Type::kJoinExecPlan);
   ASSERT_NE(join_t, nullptr);
   auto s2 = mdp_->ApplyPlanAction(*s1, *join_t);
   ASSERT_TRUE(s2.ok());
@@ -243,8 +253,8 @@ TEST_F(MdpTest, ExecuteOnEmptyPlanFails) {
 TEST_F(MdpTest, StepRoutesActions) {
   Pcg32 rng(36);
   MdpState state = Initial();
-  const MdpAction* join =
-      FindType(mdp_->LegalActions(state), MdpAction::Type::kJoinExecExec);
+  std::vector<MdpAction> join_legal = mdp_->LegalActions(state);
+  const MdpAction* join = FindType(join_legal, MdpAction::Type::kJoinExecExec);
   auto planning = mdp_->Step(state, *join, rng);
   ASSERT_TRUE(planning.ok());
   EXPECT_DOUBLE_EQ(planning->cost, 0) << "planning actions are free";
@@ -274,7 +284,8 @@ TEST_F(MdpTest, OverlappingPlainPlansArePruned) {
   // dominated (the trees can never merge) and must not be offered.
   MdpState state = Initial();
   const MdpAction* join_rs = nullptr;
-  for (const MdpAction& action : mdp_->LegalActions(state)) {
+  std::vector<MdpAction> legal = mdp_->LegalActions(state);
+  for (const MdpAction& action : legal) {
     if (action.type == MdpAction::Type::kJoinExecExec) {
       join_rs = &action;
       break;
@@ -306,6 +317,224 @@ TEST_F(MdpTest, DisconnectedRelationsGetForcedCrossProduct) {
     if (action.type == MdpAction::Type::kJoinExecExec) has_join = true;
   }
   EXPECT_TRUE(has_join);
+}
+
+// ---------------------------------------------------------------------------
+// In-place transition ≡ value transition, over every query of the four
+// generated suites. MCTS rollouts step one long-lived scratch state in
+// place (its containers keep their history across walks) and enumerate
+// actions into one reused buffer; the value path steps a fresh copy each
+// time. Every step must agree on the state, the cost and the RNG stream.
+// ---------------------------------------------------------------------------
+
+std::vector<Workload> AllSuites() {
+  std::vector<Workload> out;
+  auto add = [&out](StatusOr<Workload> w) {
+    EXPECT_TRUE(w.ok()) << w.status().ToString();
+    if (w.ok()) out.push_back(std::move(*w));
+  };
+  TpchOptions tpch;
+  tpch.scale = 0.01;
+  add(MakeTpchWorkload(tpch));
+  ImdbOptions imdb;
+  imdb.scale = 0.02;
+  add(MakeImdbWorkload(imdb));
+  OttOptions ott;
+  ott.rows_per_table = 400;
+  ott.key_cardinality = 30;
+  add(MakeOttWorkload(ott));
+  UdfBenchOptions udf;
+  udf.scale = 0.02;
+  add(MakeUdfBenchWorkload(udf));
+  return out;
+}
+
+std::vector<std::string> PlannedTrees(const MdpState& state, const QuerySpec& query) {
+  std::vector<std::string> out;
+  for (const PlanNode::Ptr& tree : state.planned) {
+    out.push_back(tree->ToString(query) + " " + tree->output_sig().ToString());
+  }
+  return out;
+}
+
+// Two generators are in the same state iff they draw the same values.
+bool SameStream(const Pcg32& a, const Pcg32& b) {
+  Pcg32 ca = a;
+  Pcg32 cb = b;
+  for (int i = 0; i < 4; ++i) {
+    if (ca.Next() != cb.Next()) return false;
+  }
+  return true;
+}
+
+TEST(MdpInPlaceTest, ApplyMatchesValueTransitionOnRandomWalks) {
+  std::vector<Workload> suites = AllSuites();
+  ASSERT_EQ(suites.size(), 4u);
+  MdpState scratch;  // stepped in place, reused across every walk
+  std::vector<MdpAction> buffer;
+  int steps = 0;
+  int executes = 0;
+  for (const Workload& workload : suites) {
+    auto prior = MakePrior(PriorKind::kSpikeAndSlab);
+    for (const BenchQuery& query : workload.queries) {
+      SCOPED_TRACE(workload.name + "/" + query.name);
+      std::map<ExprSig, double> base_counts;
+      for (int i = 0; i < query.spec.num_relations(); ++i) {
+        auto rows = workload.catalog->RowCount(query.spec.relation(i).table_name);
+        ASSERT_TRUE(rows.ok());
+        base_counts[ExprSig::Of(RelSet::Single(i), 0)] = static_cast<double>(*rows);
+      }
+      QueryMdp mdp(query.spec, prior.get(), QueryMdp::Options());
+      for (uint64_t seed = 1; seed <= 3; ++seed) {
+        MdpState value = mdp.InitialState(StatsStore(), base_counts);
+        scratch = value;
+        Pcg32 walk(seed, 7);
+        Pcg32 rng_in_place(seed);
+        Pcg32 rng_value(seed);
+        for (int depth = 0; depth < 96 && !mdp.IsTerminal(value); ++depth) {
+          mdp.LegalActions(scratch, &buffer);
+          std::vector<MdpAction> fresh = mdp.LegalActions(value);
+          ASSERT_EQ(buffer, fresh) << "depth " << depth;
+          ASSERT_FALSE(fresh.empty());
+          const MdpAction& action =
+              buffer[walk.NextBounded(static_cast<uint32_t>(buffer.size()))];
+
+          double cost = -1;
+          ASSERT_TRUE(mdp.Apply(&scratch, action, rng_in_place, &cost).ok());
+          auto step = mdp.Step(value, action, rng_value);
+          ASSERT_TRUE(step.ok()) << step.status().ToString();
+          value = std::move(step->state);
+          ++steps;
+          if (action.IsExecute()) ++executes;
+
+          EXPECT_EQ(cost, step->cost) << action.ToString(query.spec);
+          EXPECT_TRUE(SameStream(rng_in_place, rng_value));
+          EXPECT_EQ(scratch.executed, value.executed);
+          EXPECT_EQ(PlannedTrees(scratch, query.spec), PlannedTrees(value, query.spec));
+          EXPECT_EQ(scratch.stats.Fingerprint(), value.stats.Fingerprint());
+          EXPECT_EQ(scratch.stats.num_counts(), value.stats.num_counts());
+          EXPECT_EQ(scratch.stats.num_distincts(), value.stats.num_distincts());
+          EXPECT_EQ(mdp.IsTerminal(scratch), mdp.IsTerminal(value));
+          if (::testing::Test::HasFailure()) return;
+        }
+      }
+    }
+  }
+  // Guard against a vacuous pass.
+  EXPECT_GT(steps, 1000);
+  EXPECT_GT(executes, 100);
+}
+
+TEST_F(MdpTest, ApplyRejectsBadActionsWithoutTouchingTheState) {
+  MdpState state = Initial();
+  Pcg32 rng(5);
+  double cost = -1;
+  MdpAction bad;
+  bad.type = MdpAction::Type::kJoinPlanPlan;
+  bad.plan_a = 0;
+  bad.plan_b = 1;
+  EXPECT_EQ(mdp_->Apply(&state, bad, rng, &cost).code(), StatusCode::kInvalidArgument);
+  MdpAction execute;
+  execute.type = MdpAction::Type::kExecute;
+  EXPECT_EQ(mdp_->Apply(&state, execute, rng, &cost).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(mdp_->ApplyPlanAction(state, execute).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(state.planned.empty());
+  EXPECT_EQ(state.executed, Initial().executed);
+  EXPECT_EQ(state.stats.Fingerprint(), Initial().stats.Fingerprint());
+  EXPECT_TRUE(SameStream(rng, Pcg32(5)));
+}
+
+// The predicate-scan and union-find definitions the mask tables replaced,
+// kept here as oracles.
+std::vector<int> ScanApplicableJoinPreds(const QuerySpec& query, const ExprSig& left,
+                                         const ExprSig& right) {
+  std::vector<int> out;
+  RelSet lrels(left.rels);
+  RelSet rrels(right.rels);
+  RelSet union_rels = lrels.Union(rrels);
+  uint64_t applied = left.preds | right.preds;
+  for (const Predicate& pred : query.predicates()) {
+    if ((applied >> pred.pred_id) & 1) continue;
+    RelSet prels = pred.rels();
+    if (!union_rels.ContainsAll(prels)) continue;
+    if (lrels.ContainsAll(prels) || rrels.ContainsAll(prels)) continue;
+    out.push_back(pred.pred_id);
+  }
+  return out;
+}
+
+bool UnionFindCrossProductUnavoidable(const QuerySpec& query, RelSet a, RelSet b) {
+  int n = query.num_relations();
+  std::vector<int> parent(n);
+  std::iota(parent.begin(), parent.end(), 0);
+  auto find = [&](int x) {
+    while (parent[x] != x) {
+      parent[x] = parent[parent[x]];
+      x = parent[x];
+    }
+    return x;
+  };
+  for (const Predicate& pred : query.predicates()) {
+    auto indices = pred.rels().Indices();
+    for (size_t i = 1; i < indices.size(); ++i) {
+      int ra = find(indices[0]);
+      int rb = find(indices[i]);
+      if (ra != rb) parent[ra] = rb;
+    }
+  }
+  for (int ia : a.Indices()) {
+    for (int ib : b.Indices()) {
+      if (find(ia) == find(ib)) return false;
+    }
+  }
+  return true;
+}
+
+TEST(MdpInPlaceTest, MaskTablesMatchTheScanDefinitions) {
+  int pairs = 0;
+  for (const Workload& workload : AllSuites()) {
+    for (const BenchQuery& query : workload.queries) {
+      SCOPED_TRACE(workload.name + "/" + query.name);
+      const QuerySpec& spec = query.spec;
+      std::vector<uint64_t> pred_rels = PredicateRelMasks(spec);
+      std::vector<uint64_t> components = ComponentMasks(spec);
+      int n = spec.num_relations();
+      ASSERT_LE(n, 12) << "enumeration below is exponential in n";
+      uint64_t all = (uint64_t{1} << n) - 1;
+      // Predicates applied inside an expression over `rels`: none, or all
+      // that it covers (as after a fully-filtered join).
+      auto inside = [&](uint64_t rels) {
+        uint64_t preds = 0;
+        for (size_t id = 0; id < pred_rels.size(); ++id) {
+          if ((pred_rels[id] & ~rels) == 0) preds |= uint64_t{1} << id;
+        }
+        return preds;
+      };
+      for (uint64_t a = 1; a <= all; ++a) {
+        for (uint64_t b = 1; b <= all; ++b) {
+          RelSet ra(a);
+          RelSet rb(b);
+          ASSERT_EQ((ComponentOf(components, ra) & b) == 0,
+                    UnionFindCrossProductUnavoidable(spec, ra, rb));
+          if ((a & b) != 0) continue;
+          for (uint64_t pa : {uint64_t{0}, inside(a)}) {
+            for (uint64_t pb : {uint64_t{0}, inside(b)}) {
+              ExprSig left{a, pa};
+              ExprSig right{b, pb};
+              std::vector<int> expected = ScanApplicableJoinPreds(spec, left, right);
+              ASSERT_EQ(ApplicableJoinPredMask(pred_rels, left, right),
+                        PredMask(expected));
+              ASSERT_EQ(ApplicableJoinPreds(spec, left, right), expected);
+              ++pairs;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(pairs, 10000);
 }
 
 }  // namespace
