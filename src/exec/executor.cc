@@ -496,12 +496,16 @@ class IndexInsertOperator : public PipelineOperator {
 /// Probe stage of the hash join. Per batch: fills uncached probe-key
 /// columns, computes composite hashes column-wise, probes per row (fault
 /// point, work charge, Bloom pre-check, per-candidate charge and
-/// hash-confirm), and emits matched pairs column-wise — straight into the
-/// output, or through a residual staging table whose survivors gather in.
-/// The per-row charge sequence is exactly the row path's, so budget trips
-/// land on the same work unit; the Bloom filter stores exactly the hashes
-/// in the index, so a reject only skips an equal_range that would have
-/// found nothing — zero candidates charged either way.
+/// hash-confirm), and records each matched (left row, right row) pair in
+/// an operator-owned pair list — through a residual staging table when
+/// residual filters apply, so only survivors stay listed. Flush() gathers
+/// the whole list into the output once, after the caller's budget check
+/// for the range passed: a probe that trips the budget never copies rows
+/// it would throw away. The per-row charge sequence is exactly the row
+/// path's, so budget trips land on the same work unit; the Bloom filter
+/// stores exactly the hashes in the index, so a reject only skips an
+/// equal_range that would have found nothing — zero candidates charged
+/// either way.
 class HashProbeOperator : public PipelineOperator {
  public:
   struct Spec {
@@ -567,8 +571,7 @@ class HashProbeOperator : public PipelineOperator {
       CombineKeyHashes((*views)[k], begin, end, base, hashes_.data());
     }
 
-    match_build_.clear();
-    match_probe_.clear();
+    const size_t first = left_rows_.size();
     uint64_t bloom_checked = 0;
     uint64_t bloom_rejected = 0;
     for (size_t i = 0; i < n; ++i) {
@@ -607,8 +610,10 @@ class HashProbeOperator : public PipelineOperator {
           }
         }
         if (match) {
-          match_build_.push_back(static_cast<uint32_t>(build_row));
-          match_probe_.push_back(static_cast<uint32_t>(row));
+          left_rows_.push_back(
+              static_cast<uint32_t>(s_.build_left ? build_row : row));
+          right_rows_.push_back(
+              static_cast<uint32_t>(s_.build_left ? row : build_row));
         }
       }
     }
@@ -617,29 +622,19 @@ class HashProbeOperator : public PipelineOperator {
       bloom_rejects_metric->Add(bloom_rejected);
     }
 
-    const size_t nmatch = match_probe_.size();
-    if (nmatch == 0) return Status::OK();
-    const uint32_t* lrows =
-        s_.build_left ? match_build_.data() : match_probe_.data();
-    const uint32_t* rrows =
-        s_.build_left ? match_probe_.data() : match_build_.data();
-    // nmatch > 0 implies the probe loop above ran and charged every probe
-    // row and index hit (via the morsel tally or ChargeWork); the analyzer
-    // cannot see that the zero-iteration path has nmatch == 0.
-    if (s_.residual->empty()) {
-      dst_->AppendConcatSelected(*s_.lt, lrows, *s_.rt, rrows,  // NOLINT(monsoon-analyze-accounting)
-                                 nmatch);
-      return Status::OK();
-    }
-    // Residual filters see the concatenated schema: candidates stage in a
-    // scratch table (allocation reused across batches) and survivors
-    // gather into the output. The row path appended then retracted; the
-    // accepted row sequence and filter evaluation set are identical.
+    const size_t nmatch = left_rows_.size() - first;
+    if (nmatch == 0 || s_.residual->empty()) return Status::OK();
+    // Residual filters see the concatenated schema: this batch's
+    // candidates stage in a scratch table (allocation reused across
+    // batches) and only the survivors' pairs stay listed. The row path
+    // appended then retracted; the accepted row sequence and filter
+    // evaluation set are identical.
+    const uint32_t* lrows = left_rows_.data() + first;
+    const uint32_t* rrows = right_rows_.data() + first;
     candidates_.ClearRows();
     candidates_.AppendConcatSelected(*s_.lt, lrows, *s_.rt, rrows,  // NOLINT(monsoon-analyze-accounting): scratch staging, charged with the probe rows above
                                      nmatch);
-    keep_.Clear();
-    keep_.Reserve(nmatch);
+    size_t kept = first;
     for (size_t i = 0; i < nmatch; ++i) {
       bool pass = true;
       for (const auto& filter : *s_.residual) {
@@ -648,13 +643,27 @@ class HashProbeOperator : public PipelineOperator {
           break;
         }
       }
-      if (pass) keep_.Append(static_cast<uint32_t>(i));
+      if (pass) {
+        left_rows_[kept] = left_rows_[first + i];
+        right_rows_[kept] = right_rows_[first + i];
+        ++kept;
+      }
     }
-    if (!keep_.empty()) {
-      dst_->AppendSelectedFrom(candidates_, keep_.data(),  // NOLINT(monsoon-analyze-accounting): survivors of rows charged in the probe loop
-                               keep_.size());
-    }
+    left_rows_.resize(kept);
+    right_rows_.resize(kept);
     return Status::OK();
+  }
+
+  /// Gathers every listed pair into the output in probe order — one exact
+  /// Reserve, one column-wise gather — and empties the list. Callers run
+  /// it only once the range's work is charged and its budget check passed.
+  void Flush() {
+    if (left_rows_.empty()) return;
+    dst_->Reserve(dst_->num_rows() + left_rows_.size());
+    dst_->AppendConcatSelected(*s_.lt, left_rows_.data(), *s_.rt,  // NOLINT(monsoon-analyze-accounting): pairs charged in the probe loop
+                               right_rows_.data(), left_rows_.size());
+    left_rows_.clear();
+    right_rows_.clear();
   }
 
  private:
@@ -664,10 +673,10 @@ class HashProbeOperator : public PipelineOperator {
   std::vector<FlatColumn> probe_flat_;       // uncached batch-local keys
   std::vector<FlatView> probe_flat_views_;
   std::vector<uint64_t> hashes_;
-  std::vector<uint32_t> match_build_;
-  std::vector<uint32_t> match_probe_;
+  // Accepted (left row, right row) pairs, in output order, until Flush().
+  std::vector<uint32_t> left_rows_;
+  std::vector<uint32_t> right_rows_;
   Table candidates_;
-  SelectionVector keep_;
 };
 
 }  // namespace
@@ -1344,6 +1353,7 @@ StatusOr<MaterializedExpr> Executor::ExecuteJoin(const PlanNode::Ptr& node,
             if (before + local_work > work_limit) {
               return Status::ResourceExhausted("work budget exceeded");
             }
+            probe_op.Flush();
             locals[s] = std::move(attempt_local);
             return Status::OK();
           },
@@ -1485,6 +1495,7 @@ StatusOr<MaterializedExpr> Executor::ExecuteJoin(const PlanNode::Ptr& node,
           if (before + local_work > work_limit) {
             return Status::ResourceExhausted("work budget exceeded");
           }
+          probe_op.Flush();
           return Status::OK();
         });
     Status charged = ctx->ChargeWork(shared_work.load());
@@ -1567,6 +1578,7 @@ StatusOr<MaterializedExpr> Executor::ExecuteJoin(const PlanNode::Ptr& node,
     HashProbeOperator probe_op(spec, out.get(), /*work_tally=*/nullptr);
     MONSOON_RETURN_IF_ERROR(
         Pipeline().Add(&probe_op).Run(probe, 0, probe.num_rows(), ctx));
+    probe_op.Flush();
   }
 
   // The join's output objects are the paper's cost for this node.

@@ -1,5 +1,6 @@
 #include "storage/table.h"
 
+#include <algorithm>
 #include <sstream>
 
 namespace monsoon {
@@ -50,6 +51,18 @@ Status Table::AppendRow(const std::vector<Value>& values) {
 
 namespace {
 
+// The growth rule of every batch append: reserve only when capacity is
+// short, and then to max(needed, 2 x capacity). A bare
+// reserve(size() + n) per batch reserves exactly that much, so a column
+// filled batch by batch would reallocate and copy itself on every batch.
+template <typename VecT>
+void GrowFor(VecT& dst, size_t n) {
+  const size_t needed = dst.size() + n;
+  if (needed > dst.capacity()) {
+    dst.reserve(std::max(needed, 2 * dst.capacity()));
+  }
+}
+
 // Copies src_col[row] onto the end of dst_col (same alternative held).
 void AppendCell(std::variant<std::vector<int64_t>, std::vector<double>,
                              std::vector<std::string>>& dst_col,
@@ -86,6 +99,7 @@ void Table::AppendRowsFrom(const Table& src) {
         [&](auto& dst) {
           using VecT = std::remove_reference_t<decltype(dst)>;
           const VecT& from = std::get<VecT>(src.columns_[c]);
+          GrowFor(dst, from.size());
           dst.insert(dst.end(), from.begin(), from.end());
         },
         columns_[c]);
@@ -103,6 +117,7 @@ void Table::TakeRowsFrom(Table* src) {
           [&](auto& dst) {
             using VecT = std::remove_reference_t<decltype(dst)>;
             VecT& from = std::get<VecT>(src->columns_[c]);
+            GrowFor(dst, from.size());
             dst.insert(dst.end(), std::make_move_iterator(from.begin()),
                        std::make_move_iterator(from.end()));
           },
@@ -119,6 +134,7 @@ void Table::AppendRangeFrom(const Table& src, size_t begin, size_t end) {
         [&](auto& dst) {
           using VecT = std::remove_reference_t<decltype(dst)>;
           const VecT& from = std::get<VecT>(src.columns_[c]);
+          GrowFor(dst, end - begin);
           dst.insert(dst.end(), from.begin() + begin, from.begin() + end);
         },
         columns_[c]);
@@ -133,7 +149,7 @@ void Table::AppendSelectedFrom(const Table& src, const uint32_t* rows,
         [&](auto& dst) {
           using VecT = std::remove_reference_t<decltype(dst)>;
           const VecT& from = std::get<VecT>(src.columns_[c]);
-          dst.reserve(dst.size() + n);
+          GrowFor(dst, n);
           for (size_t i = 0; i < n; ++i) dst.push_back(from[rows[i]]);
         },
         columns_[c]);
@@ -150,7 +166,7 @@ void Table::AppendConcatSelected(const Table& left, const uint32_t* lrows,
         [&](auto& dst) {
           using VecT = std::remove_reference_t<decltype(dst)>;
           const VecT& from = std::get<VecT>(src_col);
-          dst.reserve(dst.size() + n);
+          GrowFor(dst, n);
           for (size_t i = 0; i < n; ++i) dst.push_back(from[rows[i]]);
         },
         dst_col);

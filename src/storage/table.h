@@ -46,6 +46,12 @@ class Table {
   size_t num_rows() const { return num_rows_; }
   size_t num_columns() const { return schema_.num_columns(); }
 
+  // Batch appends (AppendRowsFrom, TakeRowsFrom, AppendRangeFrom,
+  // AppendSelectedFrom, AppendConcatSelected) share one growth rule: a
+  // column reserves only when its capacity is short, and then to
+  // max(needed, 2 x capacity), so filling a table batch by batch costs
+  // time linear in its final row count.
+
   /// Appends one row. Values must match the schema's types and arity.
   Status AppendRow(const std::vector<Value>& values);
 
@@ -106,7 +112,8 @@ class Table {
 
   RowRef row(size_t i) const { return RowRef(this, i); }
 
-  /// Reserves capacity in every column.
+  /// Reserves capacity for exactly `rows` rows in every column (a no-op
+  /// where a column already holds that much).
   void Reserve(size_t rows);
 
   /// Approximate bytes held (for memory accounting in the executor).

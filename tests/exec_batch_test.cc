@@ -465,5 +465,132 @@ TEST(BatchEquivalenceTest, UdfBench) {
   ExpectBatchEquivalence(*workload, 4);
 }
 
+// ---------------------------------------------------------------------------
+// Hash-probe emission: the probe lists accepted (left, right) row pairs and
+// gathers them into the output once per range, after the range's budget
+// check. Output rows and the charge sequence must not depend on batch
+// width, thread count or shard count — including for residual survivors
+// and for a probe that trips the budget mid-range.
+// ---------------------------------------------------------------------------
+
+class JoinEmissionTest : public ::testing::Test {
+ protected:
+  // l(k, x, s) and r(k, y, t). Uniform: key i % 20 on both sides. Skewed:
+  // nearly every row carries key 0, so one probe row meets a long run of
+  // build candidates.
+  void AddTables(bool skewed, size_t left_rows, size_t right_rows) {
+    auto key = [skewed](size_t i) {
+      return static_cast<int64_t>(skewed ? (i % 10 == 9 ? i : 0) : i % 20);
+    };
+    auto l = std::make_shared<Table>(Schema({{"k", ValueType::kInt64},
+                                             {"x", ValueType::kInt64},
+                                             {"s", ValueType::kString}}));
+    for (size_t i = 0; i < left_rows; ++i) {
+      ASSERT_TRUE(l->AppendRow({Value(key(i)), Value(static_cast<int64_t>(i)),
+                                Value("l" + std::to_string(i))})
+                      .ok());
+    }
+    auto r = std::make_shared<Table>(Schema({{"k", ValueType::kInt64},
+                                             {"y", ValueType::kInt64},
+                                             {"t", ValueType::kString}}));
+    for (size_t i = 0; i < right_rows; ++i) {
+      ASSERT_TRUE(r->AppendRow({Value(key(i)),
+                                Value(static_cast<int64_t>(i * 7)),
+                                Value("r" + std::to_string(i))})
+                      .ok());
+    }
+    ASSERT_TRUE(catalog_.AddTable("l", l).ok());
+    ASSERT_TRUE(catalog_.AddTable("r", r).ok());
+  }
+
+  struct Outcome {
+    Status status;
+    uint64_t work_units = 0;
+    uint64_t objects = 0;
+    std::vector<std::string> fingerprints;
+  };
+
+  Outcome Run(const QuerySpec& query, const PlanNode::Ptr& plan,
+              uint64_t work_budget, parallel::ThreadPool* pool,
+              size_t batch_size, size_t shards) {
+    auto store = MaterializedStore::ForQuery(catalog_, query);
+    EXPECT_TRUE(store.ok());
+    Executor executor(query, &UdfRegistry::Global());
+    ExecContext ctx(work_budget);
+    ctx.SetParallel(pool, /*morsel_size=*/37);
+    ctx.SetBatchSize(batch_size);
+    ctx.SetShards(shards);
+    auto result = executor.Execute(plan, &*store, &ctx);
+    Outcome out;
+    out.status = result.status();
+    out.work_units = ctx.work_units();
+    out.objects = ctx.objects_processed();
+    if (result.ok()) out.fingerprints = RowFingerprints(*result->output.table);
+    return out;
+  }
+
+  Catalog catalog_;
+};
+
+TEST_F(JoinEmissionTest, ResidualSurvivorsMatchAcrossBatchThreadsAndShards) {
+  // 300 x 500 rows over 20 keys: 7500 key matches, of which the residual
+  // UDF filter keeps about nine in ten — several output batches' worth.
+  AddTables(/*skewed=*/false, 300, 500);
+  auto query = SqlParser(&catalog_).Parse(
+      "SELECT * FROM l a, r b "
+      "WHERE a.k = b.k AND bucket10(a.x) <> bucket10(b.y)");
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  PlanNode::Ptr plan =
+      PlanNode::Join(MakeLeaf(*query, 0), MakeLeaf(*query, 1), {0, 1});
+
+  parallel::ThreadPool pool(4);
+  const Outcome reference = Run(*query, plan, 0, nullptr, 1, 1);
+  ASSERT_TRUE(reference.status.ok()) << reference.status.ToString();
+  EXPECT_GT(reference.fingerprints.size(), 2 * size_t{1024});
+  EXPECT_LT(reference.fingerprints.size(), size_t{7500})
+      << "the residual filter must reject some key matches";
+  parallel::ThreadPool* serial = nullptr;
+  for (size_t batch_size : {size_t{1}, size_t{7}, size_t{1024}}) {
+    for (parallel::ThreadPool* threads : {serial, &pool}) {
+      for (size_t shards : {size_t{1}, size_t{4}}) {
+        SCOPED_TRACE("batch=" + std::to_string(batch_size) +
+                     " threads=" + (threads == nullptr ? "1" : "4") +
+                     " shards=" + std::to_string(shards));
+        const Outcome run = Run(*query, plan, 0, threads, batch_size, shards);
+        ASSERT_TRUE(run.status.ok()) << run.status.ToString();
+        EXPECT_EQ(run.fingerprints, reference.fingerprints);
+        EXPECT_EQ(run.work_units, reference.work_units);
+        EXPECT_EQ(run.objects, reference.objects);
+      }
+    }
+  }
+}
+
+TEST_F(JoinEmissionTest, SkewedSerialProbeTripsBudgetOnTheSameWorkUnit) {
+  // Key 0 on 45 build rows and 360 probe rows: 16200 candidate pairs, far
+  // past the budget, so the serial probe trips mid-range.
+  AddTables(/*skewed=*/true, 50, 400);
+  auto query =
+      SqlParser(&catalog_).Parse("SELECT * FROM l a, r b WHERE a.k = b.k");
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  PlanNode::Ptr plan =
+      PlanNode::Join(MakeLeaf(*query, 0), MakeLeaf(*query, 1), {0});
+
+  constexpr uint64_t kBudget = 5000;
+  const Outcome reference = Run(*query, plan, kBudget, nullptr, 1, 1);
+  ASSERT_EQ(reference.status.code(), StatusCode::kResourceExhausted)
+      << reference.status.ToString();
+  // Serial charging trips on the first unit past the budget.
+  EXPECT_EQ(reference.work_units, kBudget + 1);
+  for (size_t batch_size : {size_t{7}, size_t{1024}}) {
+    SCOPED_TRACE("batch=" + std::to_string(batch_size));
+    const Outcome run = Run(*query, plan, kBudget, nullptr, batch_size, 1);
+    EXPECT_EQ(run.status.code(), StatusCode::kResourceExhausted)
+        << run.status.ToString();
+    EXPECT_EQ(run.work_units, reference.work_units);
+    EXPECT_EQ(run.objects, reference.objects);
+  }
+}
+
 }  // namespace
 }  // namespace monsoon

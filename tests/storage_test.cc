@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "storage/schema.h"
 #include "storage/table.h"
 #include "storage/value.h"
@@ -140,6 +144,106 @@ TEST(TableConcatTest, AppendRowFrom) {
   dst.AppendRowFrom(src, 0);
   EXPECT_EQ(dst.num_rows(), 1u);
   EXPECT_EQ(dst.Int64At(0, 0), 5);
+}
+
+// Batch appends grow a column geometrically: filling a table batch by
+// batch must reallocate at most once per doubling of its row count —
+// O(log batches) times, not once per batch (an exact reserve(size + n)
+// per batch copies the whole column every time).
+// A reallocation is observed as a change of the address of row 0's
+// string, which moves exactly when its column's storage moves.
+class BatchAppendGrowthTest : public ::testing::Test {
+ protected:
+  static constexpr size_t kBatches = 250;
+  static constexpr size_t kSrcRows = 97;
+
+  void SetUp() override {
+    left_ = Table(Schema({{"a", ValueType::kInt64}, {"s", ValueType::kString}}));
+    right_ = Table(Schema({{"t", ValueType::kString}, {"d", ValueType::kDouble}}));
+    for (size_t i = 0; i < kSrcRows; ++i) {
+      const int64_t v = static_cast<int64_t>(i);
+      ASSERT_TRUE(left_.AppendRow({Value(v), Value("l" + std::to_string(i))}).ok());
+      ASSERT_TRUE(
+          right_.AppendRow({Value("r" + std::to_string(i)), Value(0.5 * v)}).ok());
+    }
+  }
+
+  // Batch b selects 1 + b % 8 rows, scattered over the source.
+  static std::vector<uint32_t> BatchRows(size_t b, size_t stride) {
+    std::vector<uint32_t> rows(1 + b % 8);
+    for (size_t i = 0; i < rows.size(); ++i) {
+      rows[i] = static_cast<uint32_t>((b * 13 + i * stride) % kSrcRows);
+    }
+    return rows;
+  }
+
+  // One reallocation per doubling from one row up to `rows`.
+  static size_t MaxReallocs(size_t rows) {
+    size_t doublings = 0;
+    while ((size_t{1} << doublings) < rows) ++doublings;
+    return doublings;
+  }
+
+  static void ExpectSameCells(const Table& a, const Table& b) {
+    ASSERT_EQ(a.num_rows(), b.num_rows());
+    ASSERT_EQ(a.num_columns(), b.num_columns());
+    for (size_t r = 0; r < a.num_rows(); ++r) {
+      for (size_t c = 0; c < a.num_columns(); ++c) {
+        ASSERT_EQ(a.ValueAt(c, r), b.ValueAt(c, r)) << "row " << r << " col " << c;
+      }
+    }
+  }
+
+  Table left_;
+  Table right_;
+};
+
+TEST_F(BatchAppendGrowthTest, AppendSelectedFromGrowsGeometrically) {
+  Table batched(left_.schema());
+  Table by_row(left_.schema());
+  size_t reallocs = 0;
+  const std::string* row0 = nullptr;
+  for (size_t b = 0; b < kBatches; ++b) {
+    std::vector<uint32_t> rows = BatchRows(b, 5);
+    batched.AppendSelectedFrom(left_, rows.data(), rows.size());
+    for (uint32_t r : rows) by_row.AppendRowFrom(left_, r);
+    const std::string* now = &batched.StringAt(1, 0);
+    if (row0 != nullptr && now != row0) ++reallocs;
+    row0 = now;
+  }
+  EXPECT_LE(reallocs, MaxReallocs(batched.num_rows()))
+      << "a batch append reallocated its column " << reallocs << " times in "
+      << kBatches << " batches";
+  ExpectSameCells(batched, by_row);
+}
+
+TEST_F(BatchAppendGrowthTest, AppendConcatSelectedGrowsGeometrically) {
+  const Schema out_schema = Schema::Concat(left_.schema(), right_.schema());
+  Table batched(out_schema);
+  Table by_row(out_schema);
+  size_t left_reallocs = 0;
+  size_t right_reallocs = 0;
+  const std::string* left0 = nullptr;
+  const std::string* right0 = nullptr;
+  for (size_t b = 0; b < kBatches; ++b) {
+    std::vector<uint32_t> lrows = BatchRows(b, 5);
+    std::vector<uint32_t> rrows = BatchRows(b + 3, 11);
+    rrows.resize(lrows.size(), 0);
+    batched.AppendConcatSelected(left_, lrows.data(), right_, rrows.data(),
+                                 lrows.size());
+    for (size_t i = 0; i < lrows.size(); ++i) {
+      by_row.AppendConcatRow(left_, lrows[i], right_, rrows[i]);
+    }
+    const std::string* l_now = &batched.StringAt(1, 0);
+    const std::string* r_now = &batched.StringAt(2, 0);
+    if (left0 != nullptr && l_now != left0) ++left_reallocs;
+    if (right0 != nullptr && r_now != right0) ++right_reallocs;
+    left0 = l_now;
+    right0 = r_now;
+  }
+  EXPECT_LE(left_reallocs, MaxReallocs(batched.num_rows()));
+  EXPECT_LE(right_reallocs, MaxReallocs(batched.num_rows()));
+  ExpectSameCells(batched, by_row);
 }
 
 TEST(TableMiscTest, ApproxBytesGrowsWithData) {
