@@ -11,6 +11,7 @@
 #include "sketch/distinct_estimator.h"
 #include "sketch/hyperloglog.h"
 #include "sql/parser.h"
+#include "workloads/imdb.h"
 
 namespace monsoon {
 namespace {
@@ -183,6 +184,54 @@ void BM_MctsIterations(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_MctsIterations)->Arg(100)->Arg(400);
+
+// Action enumeration on the first 8-relation IMDB query, from the state a
+// seeded random walk (the shape of an MCTS rollout) reaches after
+// `range(0)` steps: R_e holds the base relations plus what the walk's
+// EXECUTEs materialized, and S the prior samples they hardened.
+void BM_LegalActions(benchmark::State& state) {
+  ImdbOptions imdb_options;
+  imdb_options.scale = 0.02;
+  Workload imdb = MakeImdbWorkload(imdb_options).value();
+  const BenchQuery* query = nullptr;
+  for (const BenchQuery& q : imdb.queries) {
+    if (q.spec.num_relations() == 8) {
+      query = &q;
+      break;
+    }
+  }
+  if (query == nullptr) {
+    state.SkipWithError("no 8-relation IMDB query");
+    return;
+  }
+  auto prior = MakePrior(PriorKind::kSpikeAndSlab);
+  QueryMdp mdp(query->spec, prior.get(), QueryMdp::Options());
+  std::map<ExprSig, double> counts;
+  for (int i = 0; i < query->spec.num_relations(); ++i) {
+    counts[ExprSig::Of(RelSet::Single(i), 0)] = static_cast<double>(
+        imdb.catalog->RowCount(query->spec.relation(i).table_name).value());
+  }
+  MdpState walk_state = mdp.InitialState(StatsStore(), counts);
+  std::vector<MdpAction> actions;
+  Pcg32 walk(7);
+  Pcg32 rng(11);
+  for (int step = 0; step < state.range(0); ++step) {
+    mdp.LegalActions(walk_state, &actions);
+    MdpAction action = actions[walk.NextBounded(static_cast<uint32_t>(actions.size()))];
+    MdpState next = walk_state;
+    double cost = 0;
+    if (!mdp.Apply(&next, action, rng, &cost).ok() || mdp.IsTerminal(next)) break;
+    walk_state = std::move(next);
+  }
+  for (auto _ : state) {
+    mdp.LegalActions(walk_state, &actions);
+    benchmark::DoNotOptimize(actions.data());
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["executed"] = static_cast<double>(walk_state.executed.size());
+  state.counters["actions"] = static_cast<double>(actions.size());
+}
+BENCHMARK(BM_LegalActions)->Arg(0)->Arg(24);
 
 void BM_SqlParse(benchmark::State& state) {
   JoinFixture fixture(10, 10);

@@ -1,5 +1,6 @@
 #include "catalog/stats_store.h"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
@@ -42,11 +43,13 @@ std::optional<double> StatsStore::LookupDistinct(int term_id, const ExprSig& exp
   }
   // 3/4. Containment: entries over a sub-expression, preferring an exact
   // partner match, then wildcard observations; within a tier, the entry
-  // over the largest (most specific) relation set.
+  // over the largest (most specific) relation set, ties going to the first
+  // in iteration order. The index rules out most calls without the scan.
+  RelSet expr_rels(expr.rels);
+  if (!HasDistinctInfo(term_id, expr_rels)) return std::nullopt;
   std::optional<double> best;
   int best_tier = -1;  // 1 = exact partner, 0 = wildcard
   int best_rels = -1;
-  RelSet expr_rels(expr.rels);
   for (const auto& [key, value] : distincts_) {
     if (key.term_id != term_id) continue;
     RelSet entry_rels(key.expr.rels);
@@ -70,16 +73,27 @@ std::optional<double> StatsStore::LookupDistinct(int term_id, const ExprSig& exp
 }
 
 bool StatsStore::HasDistinctInfo(int term_id, RelSet expr_rels) const {
-  for (const auto& [key, value] : distincts_) {
-    if (key.term_id != term_id) continue;
-    if (expr_rels.ContainsAll(RelSet(key.expr.rels))) return true;
+  uint64_t mask = expr_rels.mask();
+  // A subset's mask is never larger than its superset's, so the term's
+  // entries (sorted by mask) can stop at the first one above `mask`.
+  for (auto it = std::lower_bound(term_rels_.begin(), term_rels_.end(),
+                                  TermRels{term_id, 0});
+       it != term_rels_.end() && it->term_id == term_id && it->rels <= mask; ++it) {
+    if ((it->rels & ~mask) == 0) return true;
   }
   return false;
 }
 
 void StatsStore::SetDistinct(int term_id, const ExprSig& expr, const ExprSig& partner,
                              double count) {
-  distincts_[DistinctKey{term_id, expr, NormalizePartner(partner)}] = count;
+  bool inserted =
+      distincts_.insert_or_assign(DistinctKey{term_id, expr, NormalizePartner(partner)},
+                                  count)
+          .second;
+  if (!inserted) return;
+  TermRels entry{term_id, expr.rels};
+  auto pos = std::lower_bound(term_rels_.begin(), term_rels_.end(), entry);
+  if (pos == term_rels_.end() || *pos != entry) term_rels_.insert(pos, entry);
 }
 
 uint64_t StatsStore::Fingerprint() const {

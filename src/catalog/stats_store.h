@@ -4,6 +4,7 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "plan/plan_node.h"
 
@@ -31,6 +32,20 @@ namespace monsoon {
 ///      `expr` (d(F, S|_R) answers d(F, σ(S)|_R) and d(F, (S⋈T)|_R));
 ///   4. a wildcard-partner entry over a sub-expression.
 /// Callers clamp the result by c(expr).
+///
+/// Within tier 3 or tier 4, two entries over relation sets of the same
+/// size may hold different values. The one met first in `distincts_`'s
+/// iteration order wins, so that order is part of the contract: the
+/// containment steps always scan `distincts_` itself, and any faster
+/// structure may only decide that the scan would find nothing.
+///
+/// Term index. Next to `distincts_` the store keeps every distinct
+/// (term id, relation set) that has an entry, once, in one vector sorted
+/// by (term id, relation mask). HasDistinctInfo reads only the index, and
+/// LookupDistinct consults it before steps 3–4, returning nothing at once
+/// when no entry for the term covers a subset of `expr` (the common case
+/// inside MCTS rollouts). The index is a plain member, so it is copied
+/// with the store.
 ///
 /// Value-semantic. An MDP state owns one; MCTS copies it only with a
 /// state it keeps (a tree node, or the scratch state a rollout steps in
@@ -60,6 +75,15 @@ class StatsStore {
   /// Stores an exact, partner-independent observation.
   void SetDistinctObserved(int term_id, const ExprSig& expr, double count) {
     SetDistinct(term_id, expr, ExprSig::Any(), count);
+  }
+
+  /// Calls fn(term_id, expr, partner, count) for every distinct entry, in
+  /// the iteration order that breaks fallback ties.
+  template <typename Fn>
+  void ForEachDistinct(Fn&& fn) const {
+    for (const auto& [key, count] : distincts_) {
+      fn(key.term_id, key.expr, key.partner, count);
+    }
   }
 
   size_t num_counts() const { return counts_.size(); }
@@ -93,8 +117,18 @@ class StatsStore {
     return ExprSig{partner.rels, 0};
   }
 
+  /// One term-index entry: some distinct entry of `term_id` is keyed by an
+  /// expression over exactly `rels`.
+  struct TermRels {
+    int term_id;
+    uint64_t rels;
+    auto operator<=>(const TermRels&) const = default;
+  };
+
   std::unordered_map<ExprSig, double, ExprSigHash> counts_;
   std::unordered_map<DistinctKey, double, DistinctKeyHash> distincts_;
+  /// The term index, sorted and duplicate-free.
+  std::vector<TermRels> term_rels_;
 };
 
 }  // namespace monsoon

@@ -71,12 +71,15 @@ int RolloutWeight(const MdpAction& action) {
 
 StatusOr<double> MctsSearch::Rollout(const MdpState& from) {
   // One copy per rollout; every step then mutates the scratch state.
+  // Planning steps leave R_e and S alone, so what enumeration derived from
+  // them stays cached until the next EXECUTE.
   MdpState& state = scratch_;
   state = from;
+  rollout_cache_.Invalidate();
   double cost = 0;
   for (int depth = 0; depth < options_.max_rollout_depth; ++depth) {
     if (mdp_->IsTerminal(state)) return cost;
-    mdp_->LegalActions(state, &actions_);
+    mdp_->LegalActions(state, &actions_, &rollout_cache_);
     if (actions_.empty()) {
       return Status::Internal("rollout reached a dead-end non-terminal state");
     }
@@ -92,6 +95,7 @@ StatusOr<double> MctsSearch::Rollout(const MdpState& from) {
       }
     }
     double step_cost = 0;
+    if (chosen->IsExecute()) rollout_cache_.Invalidate();
     MONSOON_RETURN_IF_ERROR(mdp_->Apply(&state, *chosen, rng_, &step_cost));
     cost += step_cost;
   }

@@ -110,6 +110,7 @@ class MctsSearch {
   // MctsSearch, so these are never shared between threads.
   MdpState scratch_;                           // rollouts, EXECUTE outcomes
   std::vector<MdpAction> actions_;             // rollout legal actions
+  ActionCache rollout_cache_;                  // R_e/S-derived, per rollout
   std::vector<std::pair<Node*, size_t>> path_;  // (node, edge) this iteration
 };
 

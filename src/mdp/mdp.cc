@@ -34,6 +34,25 @@ std::string MdpAction::ToString(const QuerySpec& query) const {
   return "?";
 }
 
+namespace {
+
+bool EntryBefore(const ExecutedExprs::Entry& entry, const ExprSig& sig) {
+  return entry.first < sig;
+}
+
+}  // namespace
+
+double& ExecutedExprs::operator[](const ExprSig& sig) {
+  auto it = std::lower_bound(entries_.begin(), entries_.end(), sig, EntryBefore);
+  if (it == entries_.end() || it->first != sig) it = entries_.insert(it, Entry{sig, 0.0});
+  return it->second;
+}
+
+size_t ExecutedExprs::count(const ExprSig& sig) const {
+  auto it = std::lower_bound(entries_.begin(), entries_.end(), sig, EntryBefore);
+  return it != entries_.end() && it->first == sig ? 1 : 0;
+}
+
 std::string MdpState::ToString(const QuerySpec& query) const {
   std::ostringstream out;
   out << "R_p = {";
@@ -61,6 +80,12 @@ QueryMdp::QueryMdp(const QuerySpec& query, const Prior* prior, Options options)
       components_(ComponentMasks(query)) {
   for (const UdfTerm* term : query.AllTerms()) {
     terms_.push_back(TermRels{term->term_id, term->rels.mask()});
+  }
+  neighbors_.resize(query.num_relations(), 0);
+  for (uint64_t prels : pred_rels_) {
+    for (uint64_t m = prels; m != 0; m &= m - 1) {
+      neighbors_[__builtin_ctzll(m)] |= prels & ~(m & -m);
+    }
   }
   selection_masks_.resize(query.num_relations(), 0);
   for (int rel = 0; rel < query.num_relations(); ++rel) {
@@ -109,13 +134,6 @@ ExprSig QueryMdp::LeafSigFor(const ExprSig& sig) const {
   return ExprSig{sig.rels, preds};
 }
 
-ExprSig QueryMdp::JoinSigFor(const ExprSig& a, const ExprSig& b) const {
-  ExprSig la = LeafSigFor(a);
-  ExprSig lb = LeafSigFor(b);
-  return ExprSig{la.rels | lb.rels,
-                 la.preds | lb.preds | ApplicableJoinPredMask(pred_rels_, la, lb)};
-}
-
 PlanNode::Ptr QueryMdp::JoinOf(PlanNode::Ptr a, PlanNode::Ptr b) const {
   std::vector<int> preds;
   for (uint64_t m = ApplicableJoinPredMask(pred_rels_, a->output_sig(), b->output_sig());
@@ -125,13 +143,25 @@ PlanNode::Ptr QueryMdp::JoinOf(PlanNode::Ptr a, PlanNode::Ptr b) const {
   return PlanNode::Join(std::move(a), std::move(b), std::move(preds));
 }
 
-bool QueryMdp::JoinProposalOk(const ExprSig& a, const ExprSig& b) const {
-  if ((a.rels & b.rels) != 0) return false;
-  if (ApplicableJoinPredMask(pred_rels_, a, b) != 0) return true;
+uint64_t QueryMdp::NeighborsOf(uint64_t rels) const {
+  uint64_t out = 0;
+  for (; rels != 0; rels &= rels - 1) out |= neighbors_[__builtin_ctzll(rels)];
+  return out;
+}
+
+bool QueryMdp::JoinProposalOk(uint64_t a_component, uint64_t b_rels,
+                              uint64_t join_preds) const {
+  if (join_preds != 0) return true;
   if (options_.allow_unconstrained_cross_products) return true;
   // A cross product is still proposed when the query graph itself leaves
   // the two sides disconnected (it has to happen eventually).
-  return (ComponentOf(components_, RelSet(a.rels)) & b.rels) == 0;
+  return (a_component & b_rels) == 0;
+}
+
+bool QueryMdp::JoinProposalOk(const ExprSig& a, const ExprSig& b) const {
+  if ((a.rels & b.rels) != 0) return false;
+  return JoinProposalOk(ComponentOf(components_, RelSet(a.rels)), b.rels,
+                        ApplicableJoinPredMask(pred_rels_, a, b));
 }
 
 std::vector<MdpAction> QueryMdp::LegalActions(const MdpState& state) const {
@@ -142,26 +172,76 @@ std::vector<MdpAction> QueryMdp::LegalActions(const MdpState& state) const {
 
 void QueryMdp::LegalActions(const MdpState& state,
                             std::vector<MdpAction>* actions) const {
+  // Root-parallel workers enumerate concurrently, so the scratch cache is
+  // thread-local; it keeps its capacity across calls.
+  static thread_local ActionCache cache;
+  cache.Invalidate();
+  LegalActions(state, actions, &cache);
+}
+
+bool QueryMdp::StatsUnknownFor(const StatsStore& stats, uint64_t rels) const {
+  for (const TermRels& term : terms_) {
+    if ((term.rels & ~rels) != 0) continue;
+    if (!stats.HasDistinctInfo(term.term_id, RelSet(rels))) return true;
+  }
+  return false;
+}
+
+void QueryMdp::FillEntries(const MdpState& state, ActionCache* cache) const {
+  cache->entries_.clear();
+  for (const auto& [sig, count] : state.executed) {
+    cache->entries_.push_back(ActionCache::Entry{
+        sig, LeafSigFor(sig), NeighborsOf(sig.rels),
+        ComponentOf(components_, RelSet(sig.rels)), false});
+  }
+  cache->entries_ready_ = true;
+}
+
+void QueryMdp::FillStatsUnknown(const MdpState& state, ActionCache* cache) const {
+  for (ActionCache::Entry& entry : cache->entries_) {
+    entry.stats_unknown = StatsUnknownFor(state.stats, entry.sig.rels);
+  }
+  cache->sigma_ready_ = true;
+}
+
+void QueryMdp::FillPairs(const MdpState& state, ActionCache* cache) const {
+  // A pair whose neighbor masks do not meet has no applicable join
+  // predicate, so it skips ApplicableJoinPredMask; only the cross-product
+  // rule can still admit it.
+  const std::vector<ActionCache::Entry>& entries = cache->entries_;
+  cache->pairs_.clear();
+  for (size_t i = 0; i < entries.size(); ++i) {
+    const ActionCache::Entry& a = entries[i];
+    for (size_t k = i + 1; k < entries.size(); ++k) {
+      const ActionCache::Entry& b = entries[k];
+      if ((a.sig.rels & b.sig.rels) != 0) continue;
+      uint64_t join_preds = (a.neighbors & b.sig.rels) != 0
+                                ? ApplicableJoinPredMask(pred_rels_, a.leaf, b.leaf)
+                                : 0;
+      if (!JoinProposalOk(a.component, b.sig.rels, join_preds)) continue;
+      ExprSig join{a.sig.rels | b.sig.rels, a.leaf.preds | b.leaf.preds | join_preds};
+      if (state.executed.count(join) > 0) continue;
+      cache->pairs_.push_back(
+          ActionCache::Pair{static_cast<uint32_t>(i), static_cast<uint32_t>(k), join});
+    }
+  }
+  cache->pairs_ready_ = true;
+}
+
+void QueryMdp::LegalActions(const MdpState& state, std::vector<MdpAction>* actions,
+                            ActionCache* cache) const {
   actions->clear();
   if (IsTerminal(state)) return;
+  if (!cache->entries_ready_) FillEntries(state, cache);
+  const std::vector<ActionCache::Entry>& entries = cache->entries_;
 
   int max_planned = options_.max_planned;
   bool planned_full = static_cast<int>(state.planned.size()) >= max_planned;
 
-  // Signatures already scheduled, to avoid duplicate plans.
-  auto planned_dup = [&](const ExprSig& out_sig) {
-    for (const auto& tree : state.planned) {
-      if (tree->output_sig() == out_sig) return true;
-    }
-    return state.executed.count(out_sig) > 0;
-  };
-
-  // Does expression `rels` have an evaluable term with unknown statistics?
-  // (Σ pruning.)
-  auto stats_unknown_for = [&](uint64_t rels) {
-    for (const TermRels& term : terms_) {
-      if ((term.rels & ~rels) != 0) continue;
-      if (!state.stats.HasDistinctInfo(term.term_id, RelSet(rels))) return true;
+  auto planned_sig_except = [&](const ExprSig& out_sig, int exclude_idx) {
+    for (size_t k = 0; k < state.planned.size(); ++k) {
+      if (static_cast<int>(k) == exclude_idx) continue;
+      if (state.planned[k]->output_sig() == out_sig) return true;
     }
     return false;
   };
@@ -170,14 +250,16 @@ void QueryMdp::LegalActions(const MdpState& state,
   // both feed the final expression (joins require disjoint inputs), so
   // one of them would be wasted work. Join proposals whose result would
   // overlap another Σ-less planned tree are dominated and pruned.
-  // Σ-topped trees are exempt: they exist to gather statistics.
-  auto overlaps_planned = [&](uint64_t rels, int exclude_idx) {
+  // Σ-topped trees are exempt: they exist to gather statistics. This is
+  // the relations of the Σ-less trees other than `exclude_idx`.
+  auto plain_planned_rels = [&](int exclude_idx) {
+    uint64_t rels = 0;
     for (size_t i = 0; i < state.planned.size(); ++i) {
       if (static_cast<int>(i) == exclude_idx) continue;
       if (state.planned[i]->HasStatsCollect()) continue;
-      if ((state.planned[i]->output_sig().rels & rels) != 0) return true;
+      rels |= state.planned[i]->output_sig().rels;
     }
-    return false;
+    return rels;
   };
 
   // A Σ plan creates statistics, not a new expression, so its duplicate
@@ -195,12 +277,13 @@ void QueryMdp::LegalActions(const MdpState& state,
 
   // (1) Copy r ∈ R_e topped with Σ.
   if (!planned_full && options_.enable_stats_actions) {
-    for (const auto& [sig, count] : state.executed) {
-      if (!stats_unknown_for(sig.rels)) continue;
-      if (sigma_dup(LeafSigFor(sig))) continue;
+    if (!cache->sigma_ready_) FillStatsUnknown(state, cache);
+    for (const ActionCache::Entry& entry : entries) {
+      if (!entry.stats_unknown) continue;
+      if (sigma_dup(entry.leaf)) continue;
       MdpAction action;
       action.type = MdpAction::Type::kAddStatsPlan;
-      action.exec_a = sig;
+      action.exec_a = entry.sig;
       actions->push_back(action);
     }
   }
@@ -210,28 +293,26 @@ void QueryMdp::LegalActions(const MdpState& state,
        ++i) {
     const PlanNode::Ptr& tree = state.planned[i];
     if (tree->HasStatsCollect()) continue;
-    if (!stats_unknown_for(tree->output_sig().rels)) continue;
+    if (!StatsUnknownFor(state.stats, tree->output_sig().rels)) continue;
     MdpAction action;
     action.type = MdpAction::Type::kTopWithStats;
     action.plan_a = static_cast<int>(i);
     actions->push_back(action);
   }
 
-  // (3) Join two materialized expressions.
+  // (3) Join two materialized expressions: the cached candidate pairs,
+  // filtered against R_p.
   if (!planned_full) {
-    for (auto it_a = state.executed.begin(); it_a != state.executed.end(); ++it_a) {
-      for (auto it_b = std::next(it_a); it_b != state.executed.end(); ++it_b) {
-        const ExprSig& a = it_a->first;
-        const ExprSig& b = it_b->first;
-        if (!JoinProposalOk(a, b)) continue;
-        if (overlaps_planned(a.rels | b.rels, -1)) continue;
-        if (planned_dup(JoinSigFor(a, b))) continue;
-        MdpAction action;
-        action.type = MdpAction::Type::kJoinExecExec;
-        action.exec_a = a;
-        action.exec_b = b;
-        actions->push_back(action);
-      }
+    if (!cache->pairs_ready_) FillPairs(state, cache);
+    uint64_t plain_rels = plain_planned_rels(-1);
+    for (const ActionCache::Pair& pair : cache->pairs_) {
+      if ((pair.join.rels & plain_rels) != 0) continue;
+      if (planned_sig_except(pair.join, -1)) continue;
+      MdpAction action;
+      action.type = MdpAction::Type::kJoinExecExec;
+      action.exec_a = entries[pair.a].sig;
+      action.exec_b = entries[pair.b].sig;
+      actions->push_back(action);
     }
   }
 
@@ -252,26 +333,25 @@ void QueryMdp::LegalActions(const MdpState& state,
     }
   }
 
-  // (5) Join a materialized expression into a planned one.
+  // (5) Join a materialized expression into a planned one, with the same
+  // neighbor-mask filter as the R_e pairs.
   for (size_t j = 0; j < state.planned.size(); ++j) {
     if (state.planned[j]->HasStatsCollect()) continue;
     const ExprSig& b = state.planned[j]->output_sig();
-    for (const auto& [sig, count] : state.executed) {
-      ExprSig leaf_sig = LeafSigFor(sig);
-      if (!JoinProposalOk(leaf_sig, b)) continue;
-      if (overlaps_planned(sig.rels | b.rels, static_cast<int>(j))) continue;
-      ExprSig join_sig{leaf_sig.rels | b.rels,
-                       leaf_sig.preds | b.preds |
-                           ApplicableJoinPredMask(pred_rels_, leaf_sig, b)};
+    uint64_t other_rels = plain_planned_rels(static_cast<int>(j));
+    for (const ActionCache::Entry& a : entries) {
+      if ((a.sig.rels & b.rels) != 0) continue;
+      uint64_t join_preds = (a.neighbors & b.rels) != 0
+                                ? ApplicableJoinPredMask(pred_rels_, a.leaf, b)
+                                : 0;
+      if (!JoinProposalOk(a.component, b.rels, join_preds)) continue;
+      if (((a.sig.rels | b.rels) & other_rels) != 0) continue;
+      ExprSig join_sig{a.leaf.rels | b.rels, a.leaf.preds | b.preds | join_preds};
       if (state.executed.count(join_sig) > 0) continue;
-      bool dup = false;
-      for (size_t k = 0; k < state.planned.size(); ++k) {
-        if (k != j && state.planned[k]->output_sig() == join_sig) dup = true;
-      }
-      if (dup) continue;
+      if (planned_sig_except(join_sig, static_cast<int>(j))) continue;
       MdpAction action;
       action.type = MdpAction::Type::kJoinExecPlan;
-      action.exec_a = sig;
+      action.exec_a = a.sig;
       action.plan_a = static_cast<int>(j);
       actions->push_back(action);
     }

@@ -3,6 +3,7 @@
 
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "catalog/stats_store.h"
@@ -51,6 +52,29 @@ struct MdpAction {
   std::string ToString(const QuerySpec& query) const;
 };
 
+/// R_e: materialized expression signatures with their cardinalities, in
+/// one vector sorted by ExprSig. It iterates in the order a
+/// std::map<ExprSig, double> would, which fixes the order LegalActions
+/// emits R_e actions in, and copying it is one allocation (none when the
+/// target's buffer is large enough, as for MCTS's rollout scratch state).
+class ExecutedExprs {
+ public:
+  using Entry = std::pair<ExprSig, double>;
+  using const_iterator = std::vector<Entry>::const_iterator;
+
+  /// The cardinality of `sig`, inserted in order as 0 if absent.
+  double& operator[](const ExprSig& sig);
+  size_t count(const ExprSig& sig) const;
+  size_t size() const { return entries_.size(); }
+  const_iterator begin() const { return entries_.begin(); }
+  const_iterator end() const { return entries_.end(); }
+
+  bool operator==(const ExecutedExprs&) const = default;
+
+ private:
+  std::vector<Entry> entries_;
+};
+
 /// The MDP state (Sec. 4.1): planned expressions R_p, executed and
 /// materialized expressions R_e (signature → known cardinality), and the
 /// statistics S. QueryMdp::Apply mutates a state in place; MCTS copies a
@@ -58,10 +82,47 @@ struct MdpAction {
 /// rollout steps). Plan trees are immutable and shared between copies.
 struct MdpState {
   std::vector<PlanNode::Ptr> planned;   // R_p
-  std::map<ExprSig, double> executed;   // R_e with c(r)
+  ExecutedExprs executed;               // R_e with c(r)
   StatsStore stats;                     // S
 
   std::string ToString(const QuerySpec& query) const;
+};
+
+/// What QueryMdp::LegalActions derives from R_e and S alone: per-entry
+/// signatures and masks, which entries still have unknown statistics, and
+/// the R_e pairs that may be joined. A caller that steps one state through
+/// several planning actions (an MCTS rollout) passes one cache to every
+/// LegalActions call on it and calls Invalidate() whenever R_e or S may
+/// have changed: after an EXECUTE, or when it assigns another state.
+/// Planning actions change only R_p, so they keep it valid. The cache
+/// never changes which actions are emitted or their order.
+class ActionCache {
+ public:
+  void Invalidate() { entries_ready_ = sigma_ready_ = pairs_ready_ = false; }
+
+ private:
+  friend class QueryMdp;
+
+  struct Entry {
+    ExprSig sig;
+    ExprSig leaf;            // LeafSigFor(sig)
+    uint64_t neighbors;      // relations adjacent to sig's (neighbors_)
+    uint64_t component;      // ComponentOf(sig.rels)
+    bool stats_unknown;      // Σ pruning verdict; valid once sigma_ready_
+  };
+  /// An R_e pair that is disjoint, may be joined, and whose result is not
+  /// materialized yet; still to be filtered against R_p.
+  struct Pair {
+    uint32_t a;
+    uint32_t b;
+    ExprSig join;
+  };
+
+  std::vector<Entry> entries_;
+  std::vector<Pair> pairs_;
+  bool entries_ready_ = false;
+  bool sigma_ready_ = false;
+  bool pairs_ready_ = false;
 };
 
 /// The query-optimization MDP: action enumeration, deterministic planning
@@ -98,9 +159,15 @@ class QueryMdp {
   /// Legal actions with the pruning described in DESIGN.md (Σ only where
   /// statistics are still unknown, joins only between connected,
   /// non-overlapping expressions, no duplicate expressions), written into
-  /// `*actions` (cleared first, so a caller can reuse one buffer).
+  /// `*actions` (cleared first, so a caller can reuse one buffer). Safe to
+  /// call concurrently on one QueryMdp: its per-call scratch is
+  /// thread-local.
   void LegalActions(const MdpState& state, std::vector<MdpAction>* actions) const;
   std::vector<MdpAction> LegalActions(const MdpState& state) const;
+  /// The same list, reusing what `*cache` holds about R_e and S (see
+  /// ActionCache for when the caller must invalidate it).
+  void LegalActions(const MdpState& state, std::vector<MdpAction>* actions,
+                    ActionCache* cache) const;
 
   /// The transition: applies `action` to `*state` in place and sets
   /// `*cost` to the objects it processes (Sec. 4.4; reward = -cost).
@@ -138,13 +205,26 @@ class QueryMdp {
   /// any still-unapplied selection predicates over its relations.
   PlanNode::Ptr LeafFor(const ExprSig& sig) const;
 
-  /// Output signatures of LeafFor / a join of two R_e members, computed
-  /// without allocating plan nodes (hot path of LegalActions).
+  /// Output signature of LeafFor, computed without allocating plan nodes
+  /// (hot path of LegalActions).
   ExprSig LeafSigFor(const ExprSig& sig) const;
-  ExprSig JoinSigFor(const ExprSig& a, const ExprSig& b) const;
 
  private:
   bool JoinProposalOk(const ExprSig& a, const ExprSig& b) const;
+  /// JoinProposalOk for disjoint sides once the applicable join predicates
+  /// are known: `a_component` is ComponentOf(a), `join_preds` the
+  /// ApplicableJoinPredMask of the pair.
+  bool JoinProposalOk(uint64_t a_component, uint64_t b_rels,
+                      uint64_t join_preds) const;
+  /// Union of neighbors_ over the relations in `rels`.
+  uint64_t NeighborsOf(uint64_t rels) const;
+  /// Fill the parts of an ActionCache that are not ready yet.
+  void FillEntries(const MdpState& state, ActionCache* cache) const;
+  void FillStatsUnknown(const MdpState& state, ActionCache* cache) const;
+  void FillPairs(const MdpState& state, ActionCache* cache) const;
+  /// Σ pruning: does an expression over `rels` have an evaluable term
+  /// whose statistics are still unknown?
+  bool StatsUnknownFor(const StatsStore& stats, uint64_t rels) const;
   /// Join of two plans applying every predicate that becomes applicable.
   PlanNode::Ptr JoinOf(PlanNode::Ptr a, PlanNode::Ptr b) const;
 
@@ -165,6 +245,11 @@ class QueryMdp {
   std::vector<uint64_t> pred_rels_;
   /// ComponentMasks(query).
   std::vector<uint64_t> components_;
+  /// Per-relation mask of the other relations it shares a multi-relation
+  /// predicate with. A join predicate becomes applicable only between
+  /// sides where one side's neighbors meet the other side, so a pair
+  /// that fails this test skips ApplicableJoinPredMask (its mask is 0).
+  std::vector<uint64_t> neighbors_;
   /// Per-relation mask of selection predicate ids.
   std::vector<uint64_t> selection_masks_;
 };

@@ -29,6 +29,8 @@ PlanNode::Ptr PlanNode::Join(Ptr left, Ptr right, std::vector<int> pred_ids) {
       ExprSig{node->left_->output_sig().rels | node->right_->output_sig().rels,
               node->left_->output_sig().preds | node->right_->output_sig().preds |
                   PredMask(node->pred_ids_)};
+  node->has_stats_collect_ =
+      node->left_->has_stats_collect_ || node->right_->has_stats_collect_;
   return node;
 }
 
@@ -37,14 +39,8 @@ PlanNode::Ptr PlanNode::StatsCollect(Ptr child) {
   node->kind_ = Kind::kStatsCollect;
   node->left_ = std::move(child);
   node->output_sig_ = node->left_->output_sig();
+  node->has_stats_collect_ = true;
   return node;
-}
-
-bool PlanNode::HasStatsCollect() const {
-  if (kind_ == Kind::kStatsCollect) return true;
-  if (left_ && left_->HasStatsCollect()) return true;
-  if (right_ && right_->HasStatsCollect()) return true;
-  return false;
 }
 
 std::string PlanNode::ToString(const QuerySpec& query) const {

@@ -80,7 +80,8 @@ class PlanNode {
   const Ptr& child() const { return left_; }  // kStatsCollect alias
   const std::vector<int>& pred_ids() const { return pred_ids_; }
 
-  bool HasStatsCollect() const;
+  /// True if the tree contains a Σ node; fixed when the node is built.
+  bool HasStatsCollect() const { return has_stats_collect_; }
 
   /// Renders the tree, e.g. "Σ((R ⋈ S) ⋈ T)", mapping relation indices
   /// through the query's aliases.
@@ -95,6 +96,7 @@ class PlanNode {
   Ptr right_;                  // kJoin: right child
   std::vector<int> pred_ids_;  // kLeaf: selections; kJoin: join preds + filters
   ExprSig output_sig_;
+  bool has_stats_collect_ = false;
 };
 
 /// Predicate-id mask helper.

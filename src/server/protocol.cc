@@ -50,6 +50,7 @@ Request ParseRequestLine(const std::string& line) {
 }
 
 std::string RenderRunResponse(uint64_t id, const RunResult& result,
+                              double admission_seconds,
                               const std::string& trace_path) {
   std::ostringstream out;
   obs::JsonWriter w(out);
@@ -73,6 +74,7 @@ std::string RenderRunResponse(uint64_t id, const RunResult& result,
   w.KV("plan", result.plan_seconds);
   w.KV("stats", result.stats_seconds);
   w.KV("exec", result.exec_seconds);
+  w.KV("admission", admission_seconds);
   w.EndObject();
   w.EndObject();
   return out.str();

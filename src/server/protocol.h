@@ -23,13 +23,14 @@ namespace monsoon::server {
 ///
 /// Query responses add the full accounting block (rows, objects,
 /// work_units, execute_rounds, stats_collections, udf_cache hits/misses,
-/// degraded, seconds breakdown) and, when tail sampling kept the query's
-/// trace, its file path; failures add "error" with the status message. An
-/// admission rejection is the error response with code "Unavailable" —
-/// never a dropped connection. `.metrics` wraps the Prometheus text
-/// exposition in the JSON "body" field (still one response line);
-/// `.health` is a one-object operator summary; `.stats` carries the
-/// registry delta since the connection opened.
+/// degraded, seconds breakdown: total, plan, stats, exec, and admission,
+/// the time the session waited for an admission slot) and, when tail
+/// sampling kept the query's trace, its file path; failures add "error"
+/// with the status message. An admission rejection is the error response
+/// with code "Unavailable" — never a dropped connection. `.metrics` wraps
+/// the Prometheus text exposition in the JSON "body" field (still one
+/// response line); `.health` is a one-object operator summary; `.stats`
+/// carries the registry delta since the connection opened.
 
 struct Request {
   enum class Kind { kSql, kPing, kStats, kMetrics, kHealth, kQuit };
@@ -42,8 +43,10 @@ struct Request {
 Request ParseRequestLine(const std::string& line);
 
 /// Response for a completed (successfully or not) optimizer run.
+/// `admission_seconds` is the session's wait for an admission slot;
 /// `trace_path` is the query's tail-sampled trace file ("" = none).
 std::string RenderRunResponse(uint64_t id, const RunResult& result,
+                              double admission_seconds,
                               const std::string& trace_path = std::string());
 
 /// Response for a request that never reached the optimizer (parse error,

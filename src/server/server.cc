@@ -265,7 +265,11 @@ std::string QueryServer::RunQueryOnPool(const std::string& sql,
     Metrics().active->Set(pre.active);
     Metrics().queued->Set(pre.queued);
   }
+  std::chrono::steady_clock::time_point queued_at = std::chrono::steady_clock::now();
   Status admitted = admission_.Acquire();
+  double admission_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - queued_at)
+          .count();
   if (!admitted.ok()) {
     Metrics().rejected->Add(1);
     return RenderErrorResponse(request_id, admitted);
@@ -280,8 +284,8 @@ std::string QueryServer::RunQueryOnPool(const std::string& sql,
     MutexLock lock(sessions_mu_);
     active_tokens_[session_id] = token.get();
   }
-  session_pool_->Submit([this, handle, token, sql, request_id] {
-    std::string response = RunSession(sql, request_id, token.get());
+  session_pool_->Submit([this, handle, token, sql, request_id, admission_seconds] {
+    std::string response = RunSession(sql, request_id, token.get(), admission_seconds);
     MutexLock lock(handle->wait_mu);
     handle->response = std::move(response);
     handle->done = true;
@@ -370,7 +374,8 @@ std::string QueryServer::RenderHealthNow(uint64_t request_id) const {
 
 std::string QueryServer::RunSession(const std::string& sql,
                                     uint64_t request_id,
-                                    fault::CancellationToken* token) {
+                                    fault::CancellationToken* token,
+                                    double admission_seconds) {
   // Open the tail-sampling scope before the first span so the session
   // span itself lands in a kept trace. No-op (serial 0) when tail
   // sampling is off.
@@ -475,7 +480,7 @@ std::string QueryServer::RunSession(const std::string& sql,
       .Arg("rows", result.result_rows)
       .Arg("work_units", result.work_units);
   std::string trace_path = finish_query(result, fingerprint, elapsed_us);
-  return RenderRunResponse(request_id, result, trace_path);
+  return RenderRunResponse(request_id, result, admission_seconds, trace_path);
 }
 
 void QueryServer::Shutdown() {

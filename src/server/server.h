@@ -154,8 +154,9 @@ class QueryServer {
   std::string RunQueryOnPool(const std::string& sql, uint64_t request_id,
                              int fd);
   /// The session task body (runs on the session pool).
+  /// `admission_seconds` is how long the session waited for its slot.
   std::string RunSession(const std::string& sql, uint64_t request_id,
-                         fault::CancellationToken* token);
+                         fault::CancellationToken* token, double admission_seconds);
   void ReapFinishedConnections();
   /// The sampler pool task: tick every telemetry_interval_ms until
   /// StopTelemetry. Runs on a dedicated extra pool worker slot.

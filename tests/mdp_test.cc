@@ -7,6 +7,7 @@
 
 #include "cost/cardinality.h"
 #include "mdp/mdp.h"
+#include "monsoon/monsoon_optimizer.h"
 #include "plan/logical_ops.h"
 #include "workloads/imdb.h"
 #include "workloads/ott.h"
@@ -535,6 +536,235 @@ TEST(MdpInPlaceTest, MaskTablesMatchTheScanDefinitions) {
     }
   }
   EXPECT_GT(pairs, 10000);
+}
+
+// ---------------------------------------------------------------------------
+// The scan-based enumerator that the term index, the neighbor masks, the
+// flat R_e and the ActionCache replaced, kept as the oracle for
+// LegalActions: every pair of R_e entries goes through the full
+// join-predicate check, Σ pruning scans every distinct entry, and
+// HasStatsCollect walks the tree. Both the uncached call and a cache kept
+// across a walk's planning steps must match it action for action.
+// ---------------------------------------------------------------------------
+
+bool TreeHasStatsCollect(const PlanNode& node) {
+  if (node.kind() == PlanNode::Kind::kStatsCollect) return true;
+  if (node.left() && TreeHasStatsCollect(*node.left())) return true;
+  if (node.right() && TreeHasStatsCollect(*node.right())) return true;
+  return false;
+}
+
+bool ScanHasDistinctInfo(const StatsStore& stats, int term_id, RelSet rels) {
+  bool found = false;
+  stats.ForEachDistinct([&](int term, const ExprSig& expr, const ExprSig&, double) {
+    if (term == term_id && rels.ContainsAll(RelSet(expr.rels))) found = true;
+  });
+  return found;
+}
+
+std::vector<MdpAction> ScanLegalActions(const QueryMdp& mdp, const MdpState& state) {
+  const QuerySpec& query = mdp.query();
+  const QueryMdp::Options& options = mdp.options();
+  std::vector<MdpAction> actions;
+  if (mdp.IsTerminal(state)) return actions;
+  bool planned_full = static_cast<int>(state.planned.size()) >= options.max_planned;
+
+  auto join_ok = [&](const ExprSig& a, const ExprSig& b) {
+    if ((a.rels & b.rels) != 0) return false;
+    if (!ScanApplicableJoinPreds(query, a, b).empty()) return true;
+    if (options.allow_unconstrained_cross_products) return true;
+    return UnionFindCrossProductUnavoidable(query, RelSet(a.rels), RelSet(b.rels));
+  };
+  auto join_sig = [&](const ExprSig& a, const ExprSig& b) {
+    ExprSig la = mdp.LeafSigFor(a);
+    ExprSig lb = mdp.LeafSigFor(b);
+    return ExprSig{la.rels | lb.rels,
+                   la.preds | lb.preds | PredMask(ScanApplicableJoinPreds(query, la, lb))};
+  };
+  auto planned_dup = [&](const ExprSig& out_sig) {
+    for (const auto& tree : state.planned) {
+      if (tree->output_sig() == out_sig) return true;
+    }
+    for (const auto& [sig, count] : state.executed) {
+      if (sig == out_sig) return true;
+    }
+    return false;
+  };
+  auto stats_unknown_for = [&](uint64_t rels) {
+    for (const UdfTerm* term : query.AllTerms()) {
+      if (!RelSet(rels).ContainsAll(term->rels)) continue;
+      if (!ScanHasDistinctInfo(state.stats, term->term_id, RelSet(rels))) return true;
+    }
+    return false;
+  };
+  auto overlaps_planned = [&](uint64_t rels, int exclude_idx) {
+    for (size_t i = 0; i < state.planned.size(); ++i) {
+      if (static_cast<int>(i) == exclude_idx) continue;
+      if (TreeHasStatsCollect(*state.planned[i])) continue;
+      if ((state.planned[i]->output_sig().rels & rels) != 0) return true;
+    }
+    return false;
+  };
+  auto sigma_dup = [&](const ExprSig& out_sig) {
+    for (const auto& tree : state.planned) {
+      if (tree->kind() == PlanNode::Kind::kStatsCollect &&
+          tree->output_sig() == out_sig) {
+        return true;
+      }
+    }
+    return false;
+  };
+  auto push = [&](MdpAction::Type type, ExprSig exec_a, ExprSig exec_b, int plan_a,
+                  int plan_b) {
+    MdpAction action;
+    action.type = type;
+    action.exec_a = exec_a;
+    action.exec_b = exec_b;
+    action.plan_a = plan_a;
+    action.plan_b = plan_b;
+    actions.push_back(action);
+  };
+
+  if (!planned_full && options.enable_stats_actions) {
+    for (const auto& [sig, count] : state.executed) {
+      if (!stats_unknown_for(sig.rels)) continue;
+      if (sigma_dup(mdp.LeafSigFor(sig))) continue;
+      push(MdpAction::Type::kAddStatsPlan, sig, {}, -1, -1);
+    }
+  }
+  for (size_t i = 0; options.enable_stats_actions && i < state.planned.size(); ++i) {
+    if (TreeHasStatsCollect(*state.planned[i])) continue;
+    if (!stats_unknown_for(state.planned[i]->output_sig().rels)) continue;
+    push(MdpAction::Type::kTopWithStats, {}, {}, static_cast<int>(i), -1);
+  }
+  if (!planned_full) {
+    for (auto it_a = state.executed.begin(); it_a != state.executed.end(); ++it_a) {
+      for (auto it_b = std::next(it_a); it_b != state.executed.end(); ++it_b) {
+        const ExprSig& a = it_a->first;
+        const ExprSig& b = it_b->first;
+        if (!join_ok(a, b)) continue;
+        if (overlaps_planned(a.rels | b.rels, -1)) continue;
+        if (planned_dup(join_sig(a, b))) continue;
+        push(MdpAction::Type::kJoinExecExec, a, b, -1, -1);
+      }
+    }
+  }
+  for (size_t i = 0; i < state.planned.size(); ++i) {
+    if (TreeHasStatsCollect(*state.planned[i])) continue;
+    for (size_t j = i + 1; j < state.planned.size(); ++j) {
+      if (TreeHasStatsCollect(*state.planned[j])) continue;
+      if (!join_ok(state.planned[i]->output_sig(), state.planned[j]->output_sig())) {
+        continue;
+      }
+      push(MdpAction::Type::kJoinPlanPlan, {}, {}, static_cast<int>(i),
+           static_cast<int>(j));
+    }
+  }
+  for (size_t j = 0; j < state.planned.size(); ++j) {
+    if (TreeHasStatsCollect(*state.planned[j])) continue;
+    const ExprSig& b = state.planned[j]->output_sig();
+    for (const auto& [sig, count] : state.executed) {
+      ExprSig leaf_sig = mdp.LeafSigFor(sig);
+      if (!join_ok(leaf_sig, b)) continue;
+      if (overlaps_planned(sig.rels | b.rels, static_cast<int>(j))) continue;
+      ExprSig out{leaf_sig.rels | b.rels,
+                  leaf_sig.preds | b.preds |
+                      PredMask(ScanApplicableJoinPreds(query, leaf_sig, b))};
+      if (state.executed.count(out) > 0) continue;
+      bool dup = false;
+      for (size_t k = 0; k < state.planned.size(); ++k) {
+        if (k != j && state.planned[k]->output_sig() == out) dup = true;
+      }
+      if (dup) continue;
+      push(MdpAction::Type::kJoinExecPlan, sig, {}, static_cast<int>(j), -1);
+    }
+  }
+  if (!state.planned.empty()) push(MdpAction::Type::kExecute, {}, {}, -1, -1);
+  return actions;
+}
+
+// Learned statistics of one real Monsoon run per query, as the server's
+// memo would hand them to the next run of the same query (empty when the
+// run did not finish).
+StatsStore LearnedStats(const Workload& workload, const BenchQuery& query) {
+  MonsoonOptimizer::Options options;
+  options.mcts.iterations = 24;
+  options.mcts_workers = 1;
+  options.work_budget = 3000000;
+  StatsStore learned;
+  options.learned_stats_out = &learned;
+  MonsoonOptimizer monsoon(workload.catalog.get(), options);
+  monsoon.Run(query.spec);
+  return learned;
+}
+
+TEST(MdpEnumerationOracleTest, LegalActionsMatchTheScanEnumerator) {
+  std::vector<Workload> suites = AllSuites();
+  ASSERT_EQ(suites.size(), 4u);
+  QueryMdp::Options cross_products;
+  cross_products.allow_unconstrained_cross_products = true;
+  QueryMdp::Options no_stats;
+  no_stats.enable_stats_actions = false;
+  no_stats.max_planned = 4;
+  const QueryMdp::Options variants[] = {QueryMdp::Options(), cross_products, no_stats};
+  std::vector<MdpAction> buffer;
+  std::vector<MdpAction> cached;
+  ActionCache cache;  // kept across a walk's planning steps, as in a rollout
+  int steps = 0;
+  int warm_steps = 0;
+  int joins = 0;
+  for (const Workload& workload : suites) {
+    auto prior = MakePrior(PriorKind::kSpikeAndSlab);
+    for (const BenchQuery& query : workload.queries) {
+      SCOPED_TRACE(workload.name + "/" + query.name);
+      std::map<ExprSig, double> base_counts;
+      for (int i = 0; i < query.spec.num_relations(); ++i) {
+        auto rows = workload.catalog->RowCount(query.spec.relation(i).table_name);
+        ASSERT_TRUE(rows.ok());
+        base_counts[ExprSig::Of(RelSet::Single(i), 0)] = static_cast<double>(*rows);
+      }
+      const StatsStore warm = LearnedStats(workload, query);
+      for (size_t v = 0; v < std::size(variants); ++v) {
+        QueryMdp mdp(query.spec, prior.get(), variants[v]);
+        for (uint64_t seed = 1; seed <= 4; ++seed) {
+          // Even seeds start from the warm memo, odd seeds cold.
+          bool warm_start = seed % 2 == 0;
+          MdpState state =
+              mdp.InitialState(warm_start ? warm : StatsStore(), base_counts);
+          Pcg32 walk(seed, 3 + v);
+          Pcg32 rng(seed);
+          cache.Invalidate();
+          for (int depth = 0; depth < 96 && !mdp.IsTerminal(state); ++depth) {
+            mdp.LegalActions(state, &buffer);
+            ASSERT_EQ(buffer, ScanLegalActions(mdp, state))
+                << "variant " << v << " seed " << seed << " depth " << depth << "\n"
+                << state.ToString(query.spec);
+            mdp.LegalActions(state, &cached, &cache);
+            ASSERT_EQ(cached, buffer) << "variant " << v << " seed " << seed
+                                      << " depth " << depth << " (cached)";
+            ASSERT_FALSE(buffer.empty());
+            for (const MdpAction& action : buffer) {
+              if (action.type == MdpAction::Type::kJoinExecExec ||
+                  action.type == MdpAction::Type::kJoinExecPlan) {
+                ++joins;
+              }
+            }
+            MdpAction action =
+                buffer[walk.NextBounded(static_cast<uint32_t>(buffer.size()))];
+            double cost = 0;
+            if (action.IsExecute()) cache.Invalidate();
+            ASSERT_TRUE(mdp.Apply(&state, action, rng, &cost).ok());
+            ++steps;
+            if (warm_start && warm.num_distincts() > 0) ++warm_steps;
+          }
+        }
+      }
+    }
+  }
+  // Guard against a vacuous pass.
+  EXPECT_GT(steps, 5000);
+  EXPECT_GT(warm_steps, 1000);
+  EXPECT_GT(joins, 10000);
 }
 
 }  // namespace

@@ -331,6 +331,17 @@ TEST_F(ServerTest, QueuedSessionRunsAfterSlotFrees) {
   EXPECT_EQ(Str(ran, "status"), "ok");
   EXPECT_EQ(Num(ran, "rows"), 8u);  // small: x % 8 == 3 -> 8 of 64 rows
 
+  // Both responses report their admission wait; the queued session's
+  // covers at least the time it sat behind the gated one.
+  for (const obs::JsonValue* doc : {&held, &ran}) {
+    const obs::JsonValue* seconds = doc->Find("seconds");
+    ASSERT_NE(seconds, nullptr);
+    const obs::JsonValue* admission = seconds->Find("admission");
+    ASSERT_NE(admission, nullptr);
+    EXPECT_GE(admission->number, 0.0);
+  }
+  EXPECT_GT(ran.Find("seconds")->Find("admission")->number, 0.0);
+
   query_server.Shutdown();
   EXPECT_EQ(query_server.pool_pending(), 0u);
 }

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <vector>
+
 #include "catalog/stats_store.h"
+#include "common/random.h"
 
 namespace monsoon {
 namespace {
@@ -149,6 +153,162 @@ TEST(StatsStoreTest, ValueSemantics) {
   b.SetCount(kS, 2);
   EXPECT_FALSE(a.LookupCount(kS).has_value());
   EXPECT_TRUE(b.LookupCount(kR).has_value());
+}
+
+// ---------------------------------------------------------------------------
+// Differential test: the term index must answer exactly like a scan of
+// every entry, in the store's own iteration order (which breaks
+// same-tier, same-size fallback ties).
+// ---------------------------------------------------------------------------
+
+bool ScanHasDistinctInfo(const StatsStore& store, int term_id, RelSet expr_rels) {
+  bool found = false;
+  store.ForEachDistinct([&](int term, const ExprSig& expr, const ExprSig&, double) {
+    if (term == term_id && expr_rels.ContainsAll(RelSet(expr.rels))) found = true;
+  });
+  return found;
+}
+
+struct ScanLookup {
+  std::optional<double> value;
+  /// Entries that tied with the winner on tier and size but held another
+  /// value; a non-zero count means iteration order decided the answer.
+  int ties_with_other_values = 0;
+};
+
+// The documented lookup order, as one pass over every entry.
+ScanLookup ScanLookupDistinct(const StatsStore& store, int term_id, const ExprSig& expr,
+                              const ExprSig& partner) {
+  ExprSig norm = partner.IsAny() ? partner : ExprSig{partner.rels, 0};
+  std::optional<double> exact;
+  std::optional<double> wildcard;
+  store.ForEachDistinct([&](int term, const ExprSig& e, const ExprSig& p, double v) {
+    if (term != term_id || e != expr) return;
+    if (p == norm) exact = v;
+    if (p.IsAny()) wildcard = v;
+  });
+  if (exact) return {exact, 0};
+  if (wildcard) return {wildcard, 0};
+  ScanLookup out;
+  int best_tier = -1;
+  int best_rels = -1;
+  store.ForEachDistinct([&](int term, const ExprSig& e, const ExprSig& p, double v) {
+    if (term != term_id || !RelSet(expr.rels).ContainsAll(RelSet(e.rels))) return;
+    int tier;
+    if (p == norm && !norm.IsAny()) {
+      tier = 1;
+    } else if (p.IsAny()) {
+      tier = 0;
+    } else {
+      return;
+    }
+    int nrels = RelSet(e.rels).count();
+    if (tier > best_tier || (tier == best_tier && nrels > best_rels)) {
+      best_tier = tier;
+      best_rels = nrels;
+      out.value = v;
+      out.ties_with_other_values = 0;
+    } else if (tier == best_tier && nrels == best_rels && v != *out.value) {
+      ++out.ties_with_other_values;
+    }
+  });
+  return out;
+}
+
+constexpr int kRels = 5;
+constexpr int kTerms = 4;
+
+ExprSig RandomSig(Pcg32& rng) {
+  uint64_t rels = 1 + rng.NextBounded((1u << kRels) - 1);
+  return ExprSig{rels, rng.NextBounded(4)};
+}
+
+// Inserts `n` random entries: partner-specific samples (partners given
+// with predicates, to exercise normalization) and wildcard observations,
+// with values from a small range so equal-size entries often disagree.
+void InsertRandom(StatsStore* store, Pcg32& rng, int n) {
+  for (int i = 0; i < n; ++i) {
+    int term = static_cast<int>(rng.NextBounded(kTerms));
+    ExprSig expr = RandomSig(rng);
+    ExprSig partner = rng.NextBounded(3) == 0 ? ExprSig::Any() : RandomSig(rng);
+    store->SetDistinct(term, expr, partner, 1 + rng.NextBounded(8));
+  }
+}
+
+// Compares the store against the scan on every (term, relation set) and
+// on a batch of random lookups; returns the lookups decided by a tie.
+int ExpectMatchesScan(const StatsStore& store, Pcg32& rng) {
+  for (int term = 0; term <= kTerms; ++term) {
+    for (uint64_t rels = 0; rels < (1u << kRels); ++rels) {
+      EXPECT_EQ(store.HasDistinctInfo(term, RelSet(rels)),
+                ScanHasDistinctInfo(store, term, RelSet(rels)))
+          << "term " << term << " rels " << rels;
+    }
+  }
+  int ties = 0;
+  for (int i = 0; i < 400; ++i) {
+    int term = static_cast<int>(rng.NextBounded(kTerms + 1));
+    ExprSig expr = RandomSig(rng);
+    ExprSig partner = rng.NextBounded(4) == 0 ? ExprSig::Any() : RandomSig(rng);
+    ScanLookup expected = ScanLookupDistinct(store, term, expr, partner);
+    EXPECT_EQ(store.LookupDistinct(term, expr, partner), expected.value)
+        << "term " << term << " expr " << expr.ToString() << " partner "
+        << partner.ToString();
+    if (expected.ties_with_other_values > 0) ++ties;
+  }
+  return ties;
+}
+
+TEST(StatsStoreDifferentialTest, IndexAnswersLikeAFullScan) {
+  int ties = 0;
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE(seed);
+    Pcg32 rng(seed, 11);
+    StatsStore store;
+    for (int round = 0; round < 4; ++round) {
+      InsertRandom(&store, rng, 1 + static_cast<int>(rng.NextBounded(12)));
+      ties += ExpectMatchesScan(store, rng);
+    }
+    if (::testing::Test::HasFailure()) return;
+  }
+  // Guard against a vacuous pass: some answers must hinge on tie order.
+  EXPECT_GT(ties, 50);
+}
+
+TEST(StatsStoreDifferentialTest, CopiesKeepTheirOwnIndex) {
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE(seed);
+    Pcg32 rng(seed, 13);
+    StatsStore original;
+    InsertRandom(&original, rng, 20);
+    StatsStore copy = original;
+    // The copy answers exactly like the original...
+    for (int term = 0; term <= kTerms; ++term) {
+      for (uint64_t rels = 0; rels < (1u << kRels); ++rels) {
+        ASSERT_EQ(copy.HasDistinctInfo(term, RelSet(rels)),
+                  original.HasDistinctInfo(term, RelSet(rels)));
+      }
+    }
+    Pcg32 probe(seed, 17);
+    for (int i = 0; i < 200; ++i) {
+      int term = static_cast<int>(probe.NextBounded(kTerms));
+      ExprSig expr = RandomSig(probe);
+      ExprSig partner = RandomSig(probe);
+      ASSERT_EQ(copy.LookupDistinct(term, expr, partner),
+                original.LookupDistinct(term, expr, partner));
+    }
+    // ...and inserting into either leaves the other's index alone.
+    size_t before = original.num_distincts();
+    InsertRandom(&copy, rng, 20);
+    InsertRandom(&original, rng, 5);
+    EXPECT_GT(copy.num_distincts(), before);
+    ExpectMatchesScan(copy, rng);
+    ExpectMatchesScan(original, rng);
+    StatsStore assigned;
+    InsertRandom(&assigned, rng, 3);
+    assigned = copy;
+    ExpectMatchesScan(assigned, rng);
+  }
 }
 
 }  // namespace
